@@ -8,19 +8,28 @@
 //
 // Each pass is a propose/commit protocol:
 //
-//  1. Snapshot: the current boundary is captured and permuted with a
-//     pass-derived seed.
-//  2. Propose (parallelizable): for every snapshot vertex, the best
-//     admissible target partition and its gain are computed against the
-//     start-of-pass state and recorded in the best-move arrays. Proposals
-//     read shared state but write only their own vertex's slot, so the
-//     phase splits across a worker pool without locks.
-//  3. Commit (serial, in snapshot order): every proposal is re-validated
-//     against the live state — the gain is recomputed, the balance
-//     constraint re-checked — and applied only if still profitable.
+//  1. Snapshot: the current boundary is captured twice — permuted with a
+//     pass-derived seed (the commit order), and in ascending vertex id
+//     (the propose order).
+//  2. Propose (parallelizable): for every boundary vertex, in ascending
+//     id, the best admissible target partition and its gain are computed
+//     against the start-of-pass state and recorded in the best-move
+//     arrays. Ascending order walks the partition vector, the vertex
+//     weights and the adjacency arrays front to back, so the loads stay
+//     in cache; one adjacency scan both sums the per-part degrees and
+//     collects the distinct adjacent parts the target choice ranges over.
+//     Proposals read shared state but write only their own vertex's slot,
+//     so the phase splits across a worker pool (contiguous id ranges)
+//     without locks.
+//  3. Commit (serial, in the shuffled snapshot order): every proposal is
+//     re-validated against the live state — the gain is recomputed, the
+//     balance constraint re-checked — and applied only if still
+//     profitable.
 //
-// Because proposals are independent of how the snapshot is chunked across
-// workers and commits happen in one fixed order, the result is
+// A proposal depends only on the start-of-pass state and picks the maximum
+// of a total order (gain, then the lighter part, then the lower part id),
+// so neither the propose order nor its chunking across workers can change
+// it; commits happen in one seeded order. The result is therefore
 // bit-identical for every worker count: Workers=0 is the deterministic
 // golden reference and Workers=N is the same partition, faster.
 package refine
@@ -206,13 +215,18 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 		}
 	}
 
-	// order holds the permuted boundary snapshot of the current pass; the
-	// per-worker degree scratch lives in two W*k slabs with monotonically
-	// increasing stamps so it never needs clearing between passes.
+	// order holds the permuted boundary snapshot of the current pass (the
+	// commit order) and asc the same vertices in ascending id (the propose
+	// order). The per-worker degree scratch lives in W*k slabs: ed and seen
+	// with monotonically increasing stamps, so they never need clearing
+	// between passes, and touched for the distinct adjacent parts of the
+	// vertex being proposed.
 	order := ws.Int(n)
+	asc := ws.Int(n)
 	workers := opts.Workers
 	edSlab := ws.Int(workers * k)
 	seenSlab := ws.IntFilled(workers*k, 0)
+	touchedSlab := ws.Int(workers * k)
 	stamps := ws.IntFilled(workers, 0)
 	rng := splitmix64{x: uint64(opts.Seed)*0x9E3779B97F4A7C15 + 0x94D049BB133111EB}
 
@@ -240,20 +254,28 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 			snap[i], snap[j] = snap[j], snap[i]
 		}
 
-		// Propose: each worker fills the best-move slots of its chunk. The
-		// phase only reads shared state, so chunking never changes results.
+		// Propose over the same vertices in ascending id: a sequential
+		// bndIndex scan. Each worker fills the best-move slots of its
+		// contiguous range; the phase only reads shared state, so neither
+		// the order nor the chunking changes results.
+		props := asc[:0]
+		for v, i := range r.bndIndex {
+			if i >= 0 {
+				props = append(props, v)
+			}
+		}
 		w := workers
 		if maxW := bsize/512 + 1; w > maxW {
 			w = maxW
 		}
 		if w <= 1 {
-			kwayPropose(p, r.bestTo, r.bestGain, snap, edSlab[:k], seenSlab[:k], &stamps[0], limit)
+			kwayPropose(p, r.bestTo, r.bestGain, props, edSlab[:k], seenSlab[:k], touchedSlab[:k], &stamps[0], limit)
 		} else {
-			r.proposeParallel(snap, w, k, edSlab, seenSlab, stamps, limit)
+			r.proposeParallel(props, w, k, edSlab, seenSlab, touchedSlab, stamps, limit)
 		}
 
-		// Commit serially in snapshot order, re-validating every proposal
-		// against the live state.
+		// Commit serially in the shuffled snapshot order, re-validating
+		// every proposal against the live state.
 		moves, posGain := r.commit(snap, edSlab[:k], seenSlab[:k], &stamps[0], limit)
 
 		if opts.Counters != nil {
@@ -285,8 +307,10 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	ws.PutInt(r.bestTo)
 	ws.PutInt(r.bestGain)
 	ws.PutInt(order)
+	ws.PutInt(asc)
 	ws.PutInt(edSlab)
 	ws.PutInt(seenSlab)
+	ws.PutInt(touchedSlab)
 	ws.PutInt(stamps)
 	return p.Cut
 }
@@ -297,8 +321,8 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 // serial path nothing; worker panics are captured on the worker's own
 // stack and re-raised here after the join, because recover never runs
 // across goroutines and an unhandled worker panic would kill the process.
-func (r *kwayRefiner) proposeParallel(snap []int, w, k int, edSlab, seenSlab, stamps []int, limit int) {
-	bsize := len(snap)
+func (r *kwayRefiner) proposeParallel(verts []int, w, k int, edSlab, seenSlab, touchedSlab, stamps []int, limit int) {
+	bsize := len(verts)
 	chunk := (bsize + w - 1) / w
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -313,10 +337,10 @@ func (r *kwayRefiner) proposeParallel(snap []int, w, k int, edSlab, seenSlab, st
 			continue
 		}
 		wg.Add(1)
-		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.bestTo, r.bestGain,
-			snap[lo:hi], edSlab[wi*k:(wi+1)*k], seenSlab[wi*k:(wi+1)*k], &stamps[wi], limit)
+		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.bestTo, r.bestGain, verts[lo:hi],
+			edSlab[wi*k:(wi+1)*k], seenSlab[wi*k:(wi+1)*k], touchedSlab[wi*k:(wi+1)*k], &stamps[wi], limit)
 	}
-	kwayPropose(r.p, r.bestTo, r.bestGain, snap[:chunk], edSlab[:k], seenSlab[:k], &stamps[0], limit)
+	kwayPropose(r.p, r.bestTo, r.bestGain, verts[:chunk], edSlab[:k], seenSlab[:k], touchedSlab[:k], &stamps[0], limit)
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
@@ -324,7 +348,7 @@ func (r *kwayRefiner) proposeParallel(snap []int, w, k int, edSlab, seenSlab, st
 }
 
 func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
-	p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stamp *int, limit int) {
+	p *kway.Partition, bestTo, bestGain, verts, ed, seen, touched []int, stamp *int, limit int) {
 	defer wg.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -335,18 +359,19 @@ func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
 			mu.Unlock()
 		}
 	}()
-	kwayPropose(p, bestTo, bestGain, snap, ed, seen, stamp, limit)
+	kwayPropose(p, bestTo, bestGain, verts, ed, seen, touched, stamp, limit)
 }
 
-// kwayPropose fills the best-move slots for the given snapshot vertices:
+// kwayPropose fills the best-move slots for the given boundary vertices:
 // the admissible adjacent part with the highest gain (ties broken toward
 // the lighter part, then the lower part id), or -1 when no move is worth
-// committing. ed/seen/stamp are the caller's private degree scratch; the
-// function only reads shared partition state and writes its own vertices'
-// best-move slots, which is what makes chunking result-neutral.
-func kwayPropose(p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stamp *int, limit int) {
+// committing. ed/seen/touched/stamp are the caller's private k-entry
+// scratch; the function only reads shared partition state and writes its
+// own vertices' best-move slots, which is what makes the visit order and
+// the chunking result-neutral.
+func kwayPropose(p *kway.Partition, bestTo, bestGain, verts, ed, seen, touched []int, stamp *int, limit int) {
 	g := p.G
-	for _, v := range snap {
+	for _, v := range verts {
 		bestTo[v] = -1
 		from := p.Where[v]
 		vw := g.Vwgt[v]
@@ -358,11 +383,14 @@ func kwayPropose(p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stam
 		wgt := g.EdgeWeights(v)
 		*stamp++
 		s := *stamp
+		nt := 0
 		for i, u := range adj {
 			pu := p.Where[u]
 			if seen[pu] != s {
 				seen[pu] = s
 				ed[pu] = 0
+				touched[nt] = pu
+				nt++
 			}
 			ed[pu] += wgt[i]
 		}
@@ -371,8 +399,7 @@ func kwayPropose(p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stam
 			id = ed[from]
 		}
 		best, bestG := -1, 0
-		for i := range adj {
-			to := p.Where[adj[i]]
+		for _, to := range touched[:nt] {
 			if to == from {
 				continue
 			}
