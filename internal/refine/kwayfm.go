@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"mlpart/internal/faults"
+	"mlpart/internal/graph"
 	"mlpart/internal/kway"
 	"mlpart/internal/trace"
 	"mlpart/internal/workspace"
@@ -166,21 +167,7 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	if n == 0 || k < 2 {
 		return p.Cut
 	}
-	tot := g.TotalVertexWeight()
-	target := tot / k
-	maxVwgt := 0
-	for _, w := range g.Vwgt {
-		if w > maxVwgt {
-			maxVwgt = w
-		}
-	}
-	// Same slackened tolerance as kway.Refine: the imbalance factor, never
-	// tighter than one maximum vertex above target (heavy multinodes on
-	// coarse levels must stay movable).
-	limit := int(opts.Ubfactor * float64(target))
-	if lim2 := target + maxVwgt; lim2 > limit {
-		limit = lim2
-	}
+	limit := kwayLimit(g, k, opts.Ubfactor)
 
 	ws := opts.Workspace
 	if ws == nil {
@@ -313,6 +300,19 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	ws.PutInt(touchedSlab)
 	ws.PutInt(stamps)
 	return p.Cut
+}
+
+// kwayLimit is the heaviest a part may become: the same slackened
+// tolerance as kway.Refine, the imbalance factor, never tighter than one
+// maximum vertex above target (heavy multinodes on coarse levels must stay
+// movable).
+func kwayLimit(g *graph.Graph, k int, ubfactor float64) int {
+	target := g.TotalVertexWeight() / k
+	maxVwgt := 0
+	for _, w := range g.Vwgt {
+		maxVwgt = max(maxVwgt, w)
+	}
+	return max(int(ubfactor*float64(target)), target+maxVwgt)
 }
 
 // proposeParallel fans the propose phase out over w workers, the calling

@@ -2,9 +2,11 @@ package refine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlpart/internal/faults"
+	"mlpart/internal/graph"
 	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
 	"mlpart/internal/trace"
@@ -129,17 +131,7 @@ func TestRefineKWayRespectsBalance(t *testing.T) {
 	p := kway.NewPartition(g, k, where)
 	RefineKWay(p, KWayOptions{Seed: 3, Ubfactor: ub})
 	verifyKWay(t, p)
-	tot := g.TotalVertexWeight()
-	maxVwgt := 0
-	for _, w := range g.Vwgt {
-		if w > maxVwgt {
-			maxVwgt = w
-		}
-	}
-	limit := int(ub * float64(tot/k))
-	if l2 := tot/k + maxVwgt; l2 > limit {
-		limit = l2
-	}
+	limit := kwayLimit(g, k, ub)
 	for i, w := range p.Pwgt {
 		if w > limit {
 			t.Errorf("Pwgt[%d] = %d exceeds limit %d", i, w, limit)
@@ -156,6 +148,7 @@ func TestRefineKWayPooledMatchesAllocating(t *testing.T) {
 	base := randomKWhere(g.NumVertices(), k, 17)
 	pooled := kway.NewPartition(g, k, append([]int(nil), base...))
 	plain := kway.NewPartition(g, k, append([]int(nil), base...))
+	basePwgt, baseCut := append([]int(nil), pooled.Pwgt...), pooled.Cut
 	ws := workspace.Get()
 	defer workspace.Put(ws)
 	cutPooled := RefineKWay(pooled, KWayOptions{Seed: 5, Workspace: ws})
@@ -168,6 +161,146 @@ func TestRefineKWayPooledMatchesAllocating(t *testing.T) {
 			t.Fatalf("pooled and allocating runs diverge at vertex %d", v)
 		}
 	}
+	// From a warm workspace the serial engine allocates nothing: every
+	// per-pass array, the per-worker slabs included, is pooled.
+	allocs := testing.AllocsPerRun(3, func() {
+		copy(pooled.Where, base)
+		copy(pooled.Pwgt, basePwgt)
+		pooled.Cut = baseCut
+		RefineKWay(pooled, KWayOptions{Seed: 5, Workspace: ws})
+	})
+	if allocs != 0 {
+		t.Errorf("serial RefineKWay from a warm workspace: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestKWayProposeOrderIndependent pins what lets propose visit the boundary
+// in ascending vertex id while commit walks the shuffled snapshot: a
+// proposal depends only on the start-of-pass state, never on the order in
+// which the boundary is visited or on how it is chunked across workers.
+// Each partition has a part down to one vertex (it must never be proposed
+// out of) and, for k >= 3, parts filled to within one unit of the limit
+// (some moves into them are admissible, some are not).
+func TestKWayProposeOrderIndependent(t *testing.T) {
+	for _, k := range []int{2, 5, 32} {
+		for trial := int64(0); trial < 3; trial++ {
+			seed := int64(k)*10 + trial
+			rng := rand.New(rand.NewSource(seed))
+			g := matgen.SocialNetwork(600, 3, seed)
+			for v := range g.Vwgt {
+				g.Vwgt[v] = 1 + rng.Intn(3)
+			}
+			limit := kwayLimit(g, k, 1.05)
+			p := kway.NewPartition(g, k, skewedWhere(g, k, limit, rng))
+			var asc []int
+			for v := range p.Where {
+				for _, u := range g.Neighbors(v) {
+					if p.Where[u] != p.Where[v] {
+						asc = append(asc, v)
+						break
+					}
+				}
+			}
+			shuffled := append([]int(nil), asc...)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			wantTo, wantGain := proposeReference(p, asc, limit)
+
+			n := g.NumVertices()
+			run := func(name string, propose func(bestTo, bestGain []int)) {
+				bestTo, bestGain := make([]int, n), make([]int, n)
+				propose(bestTo, bestGain)
+				for _, v := range asc {
+					if bestTo[v] != wantTo[v] || (wantTo[v] >= 0 && bestGain[v] != wantGain[v]) {
+						t.Fatalf("k=%d trial=%d %s: vertex %d proposes part %d gain %d, want part %d gain %d",
+							k, trial, name, v, bestTo[v], bestGain[v], wantTo[v], wantGain[v])
+					}
+				}
+			}
+			serial := func(verts []int) func(bestTo, bestGain []int) {
+				return func(bestTo, bestGain []int) {
+					kwayPropose(p, bestTo, bestGain, verts, make([]int, k), make([]int, k), make([]int, k), new(int), limit)
+				}
+			}
+			run("ascending", serial(asc))
+			run("shuffled", serial(shuffled))
+			run("ascending, 3 workers", func(bestTo, bestGain []int) {
+				r := kwayRefiner{p: p, bestTo: bestTo, bestGain: bestGain}
+				r.proposeParallel(asc, 3, k, make([]int, 3*k), make([]int, 3*k), make([]int, 3*k), make([]int, 3), limit)
+			})
+		}
+	}
+}
+
+// skewedWhere is a random k-way assignment with part 0 down to a single
+// vertex and, for k >= 3, the last one or two parts filled to within one
+// unit of limit.
+func skewedWhere(g *graph.Graph, k, limit int, rng *rand.Rand) []int {
+	n := g.NumVertices()
+	where := make([]int, n)
+	pwgt := make([]int, k)
+	for v := range where {
+		where[v] = 1 + rng.Intn(k-1)
+		pwgt[where[v]] += g.Vwgt[v]
+	}
+	pwgt[where[0]] -= g.Vwgt[0]
+	where[0] = 0
+	pwgt[0] = g.Vwgt[0]
+	var full []int
+	if k >= 3 {
+		full = append(full, k-1)
+	}
+	if k >= 5 {
+		full = append(full, k-2)
+	}
+	for _, h := range full {
+		for _, v := range rng.Perm(n) {
+			if pwgt[h] >= limit-1 {
+				break
+			}
+			from := where[v]
+			if from == 0 || from == h || slices.Contains(full, from) || pwgt[h]+g.Vwgt[v] > limit {
+				continue
+			}
+			pwgt[from] -= g.Vwgt[v]
+			pwgt[h] += g.Vwgt[v]
+			where[v] = h
+		}
+	}
+	return where
+}
+
+// proposeReference is the best-move rule written out directly: among the
+// parts adjacent to v, other than its own, that stay within limit after
+// the move, the highest gain, then the lighter part, then the lower id —
+// kept only if the gain is positive, or zero while strictly improving the
+// weight spread; no move out of a part v would empty.
+func proposeReference(p *kway.Partition, verts []int, limit int) (bestTo, bestGain map[int]int) {
+	g := p.G
+	bestTo, bestGain = map[int]int{}, map[int]int{}
+	for _, v := range verts {
+		bestTo[v] = -1
+		from, vw := p.Where[v], g.Vwgt[v]
+		if p.Pwgt[from]-vw <= 0 {
+			continue
+		}
+		ed := map[int]int{}
+		for i, u := range g.Neighbors(v) {
+			ed[p.Where[u]] += g.EdgeWeights(v)[i]
+		}
+		for to := 0; to < p.K; to++ {
+			if _, adjacent := ed[to]; !adjacent || to == from || p.Pwgt[to]+vw > limit {
+				continue
+			}
+			gain := ed[to] - ed[from]
+			if gain < 0 || (gain == 0 && p.Pwgt[to]+vw >= p.Pwgt[from]) {
+				continue
+			}
+			if best := bestTo[v]; best < 0 || gain > bestGain[v] || (gain == bestGain[v] && p.Pwgt[to] < p.Pwgt[best]) {
+				bestTo[v], bestGain[v] = to, gain
+			}
+		}
+	}
+	return bestTo, bestGain
 }
 
 func TestRefineKWayTraceEvents(t *testing.T) {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Local CI: the same gate .github/workflows/ci.yml runs. Fails on
-# unformatted files, vet findings, build or test failures, and data races
+# unformatted files, vet findings, build or test failures, data races
 # in the concurrent packages (parallel coarsening, parallel NCuts /
-# recursive bisection, k-way refinement).
+# recursive bisection, k-way refinement), and failures in the perfbench
+# module, which the root module's ./... does not include.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,8 +27,12 @@ go test ./...
 
 echo "== go test -race (concurrent packages, parity + fuzz seeds)"
 go test -race ./internal/coarsen/ ./internal/multilevel/ ./internal/kway/ \
-    ./internal/trace/ ./internal/graph/ ./internal/service/ ./internal/jobs/ \
-    ./internal/sessions/
+    ./internal/refine/ ./internal/trace/ ./internal/graph/ ./internal/service/ \
+    ./internal/jobs/ ./internal/sessions/
+
+echo "== perfbench (the benchmark's own module: vet + tests, incl. BENCHMARK.json == catalogue)"
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== chaos (fault-injection suite under -race, multiple seeds)"
 for seed in 1 7 42; do
