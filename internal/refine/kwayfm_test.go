@@ -178,9 +178,10 @@ func TestRefineKWayPooledMatchesAllocating(t *testing.T) {
 // in ascending vertex id while commit walks the shuffled snapshot: a
 // proposal depends only on the start-of-pass state, never on the order in
 // which the boundary is visited or on how it is chunked across workers.
-// Each partition has a part down to one vertex (it must never be proposed
-// out of) and, for k >= 3, parts filled to within one unit of the limit
-// (some moves into them are admissible, some are not).
+// Each partition has parts filled to within one unit of the limit (some
+// moves into them are admissible, some are not) and, for k >= 3, a part
+// down to one vertex (it must never be proposed out of). The limit is
+// loose so that the remaining parts keep room to receive moves.
 func TestKWayProposeOrderIndependent(t *testing.T) {
 	for _, k := range []int{2, 5, 32} {
 		for trial := int64(0); trial < 3; trial++ {
@@ -190,7 +191,7 @@ func TestKWayProposeOrderIndependent(t *testing.T) {
 			for v := range g.Vwgt {
 				g.Vwgt[v] = 1 + rng.Intn(3)
 			}
-			limit := kwayLimit(g, k, 1.05)
+			limit := kwayLimit(g, k, 1.5)
 			p := kway.NewPartition(g, k, skewedWhere(g, k, limit, rng))
 			var asc []int
 			for v := range p.Where {
@@ -231,24 +232,25 @@ func TestKWayProposeOrderIndependent(t *testing.T) {
 	}
 }
 
-// skewedWhere is a random k-way assignment with part 0 down to a single
-// vertex and, for k >= 3, the last one or two parts filled to within one
-// unit of limit.
+// skewedWhere is a random k-way assignment with the last part (and for
+// k >= 5 the one before it) filled to within one unit of limit and, for
+// k >= 3, part 0 down to vertex 0 alone.
 func skewedWhere(g *graph.Graph, k, limit int, rng *rand.Rand) []int {
 	n := g.NumVertices()
 	where := make([]int, n)
 	pwgt := make([]int, k)
+	lo := 0
+	if k >= 3 {
+		lo = 1
+	}
 	for v := range where {
-		where[v] = 1 + rng.Intn(k-1)
+		where[v] = lo + rng.Intn(k-lo)
+		if v == 0 {
+			where[v] = 0
+		}
 		pwgt[where[v]] += g.Vwgt[v]
 	}
-	pwgt[where[0]] -= g.Vwgt[0]
-	where[0] = 0
-	pwgt[0] = g.Vwgt[0]
-	var full []int
-	if k >= 3 {
-		full = append(full, k-1)
-	}
+	full := []int{k - 1}
 	if k >= 5 {
 		full = append(full, k-2)
 	}
@@ -258,7 +260,7 @@ func skewedWhere(g *graph.Graph, k, limit int, rng *rand.Rand) []int {
 				break
 			}
 			from := where[v]
-			if from == 0 || from == h || slices.Contains(full, from) || pwgt[h]+g.Vwgt[v] > limit {
+			if (lo == 1 && from == 0) || slices.Contains(full, from) || pwgt[h]+g.Vwgt[v] > limit {
 				continue
 			}
 			pwgt[from] -= g.Vwgt[v]
