@@ -67,6 +67,9 @@ type Outcome struct {
 	Code int
 	// Body is the encoded wire response, newline-terminated.
 	Body []byte
+	// Incident is the incident id of a failed job's 500 reply ("" for
+	// every other outcome), replayed as the X-Incident-Id header.
+	Incident string
 }
 
 // Config sizes a Store. The zero value means 1024 records and a 10

@@ -12,7 +12,7 @@ type RebalanceOptions struct {
 	// penalty per unit of vertex weight that ends up away from its
 	// incumbent part. 0 means 1.0; larger values keep more vertices home.
 	MigrationWeight float64
-	// MaxPasses bounds the sweeps (0 means 8).
+	// MaxPasses bounds the sweeps (0 means 32).
 	MaxPasses int
 	// Seed orders the sweeps deterministically.
 	Seed int64
@@ -135,6 +135,18 @@ func Rebalance(p *Partition, orig []int, opts RebalanceOptions) (migrated int) {
 			break
 		}
 	}
+	return migratedWeight(p, orig)
+}
+
+// Repair is the repartitioning routine shared by mlpart.Repartition and
+// the session full-repair tier: Rebalance against the incumbent placement
+// orig, then a greedy Refine at the same Ubfactor and Seed to recover the
+// cut quality lost to the diffusion moves (Refine never breaks the balance
+// Rebalance established). It returns the total vertex weight that ended
+// up away from orig.
+func Repair(p *Partition, orig []int, opts RebalanceOptions) (migrated int) {
+	Rebalance(p, orig, opts)
+	Refine(p, Options{Ubfactor: opts.Ubfactor, Seed: opts.Seed})
 	return migratedWeight(p, orig)
 }
 

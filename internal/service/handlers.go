@@ -17,6 +17,8 @@ import (
 
 	"mlpart"
 	"mlpart/internal/faults"
+	"mlpart/internal/jobs"
+	"mlpart/internal/trace"
 )
 
 // Endpoint names as they appear in /varz.
@@ -28,9 +30,8 @@ const (
 
 // job is one decoded, validated compute request.
 type job interface {
-	// key returns the result-cache key; ok=false disables caching for
-	// this request.
-	key() (string, bool)
+	// key returns the result-cache key.
+	key() string
 	// timeoutMS is the client's requested budget (0 = server default).
 	timeoutMS() int64
 	// run computes the response object. tr and inj may be nil;
@@ -44,23 +45,79 @@ type job interface {
 // its preset in /varz.
 type presetJob interface{ preset() string }
 
-type decodeFunc func(dec *json.Decoder) (job, error)
-
-// binaryDecodeFunc decodes a binary CSR request body; the non-graph
-// request fields arrive as URL query parameters.
-type binaryDecodeFunc func(data []byte, q url.Values) (job, error)
-
 // codec is one endpoint's pair of request decoders, selected by the
-// request's Content-Type.
-type codec struct {
-	json   decodeFunc
-	binary binaryDecodeFunc
+// request's Content-Type: the JSON decoder streams the body, the binary
+// one gets the whole body and the URL query, which carries the non-graph
+// request fields.
+type codec[T any] struct {
+	json   func(dec *json.Decoder) (T, error)
+	binary func(data []byte, q url.Values) (T, error)
 }
 
-// serveCompute is the shared request path of the three compute
+// The compute endpoints' codecs, shared by the synchronous endpoints and
+// job submission.
+var (
+	partitionCodec   = codec[job]{json: decodePartition, binary: decodePartitionBinary}
+	orderCodec       = codec[job]{json: decodeOrder, binary: decodeOrderBinary}
+	repartitionCodec = codec[job]{json: decodeRepartition, binary: decodeRepartitionBinary}
+)
+
+// mediaType negotiates the request's Content-Type (see binaryRequest). An
+// unsupported one is answered 415 here; its own counter separates "client
+// speaks the wrong encoding" from generic bad requests in /varz.
+func (s *Server) mediaType(w http.ResponseWriter, r *http.Request) (binary, ok bool) {
+	binary, err := binaryRequest(r)
+	if err != nil {
+		s.met.unsupportedMedia.Add(1)
+		writeError(w, http.StatusUnsupportedMediaType,
+			"%v (want %q or %q)", err, mlpart.ContentTypeJSON, mlpart.ContentTypeBinaryCSR)
+		return false, false
+	}
+	return binary, true
+}
+
+// readBody is the one request-body reader of compute requests, job
+// submissions and session creation: it reads r's body under the
+// MaxBodyBytes cap and decodes it with c's decoder for the encoding
+// mediaType negotiated. A read or decode failure is answered 400 here and
+// counted as a bad request.
+func readBody[T any](s *Server, w http.ResponseWriter, r *http.Request, binary bool, c codec[T]) (T, bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var v T
+	var err error
+	if binary {
+		data, rerr := io.ReadAll(r.Body)
+		if rerr != nil {
+			s.met.badReqs.Add(1)
+			writeError(w, http.StatusBadRequest, "read body: %v", rerr)
+			return v, false
+		}
+		v, err = c.binary(data, r.URL.Query())
+	} else {
+		v, err = c.json(json.NewDecoder(r.Body))
+	}
+	if err != nil {
+		s.met.badReqs.Add(1)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return v, false
+	}
+	return v, true
+}
+
+// cacheKey returns j's result-cache key, or "" when the result must stay
+// out of the cache: tracing bypasses it in both directions, since a
+// trace describes one particular execution.
+func cacheKey(j job, wantTrace bool) string {
+	if wantTrace {
+		return ""
+	}
+	return j.key()
+}
+
+// serveCompute is the request path of the three synchronous compute
 // endpoints: admission control, decode, cache lookup, worker acquisition
-// under the request deadline, compute, cache fill, reply.
-func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string, c codec) {
+// under the request deadline, execute, reply.
+func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string, c codec[job]) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
@@ -72,13 +129,9 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string,
 
 	// Content negotiation happens before admission: an unsupported media
 	// type is a protocol error the daemon can refuse without spending a
-	// queue slot, and its own counter separates "client speaks the wrong
-	// encoding" from generic bad requests in /varz.
-	isBinary, err := binaryRequest(r)
-	if err != nil {
-		s.met.unsupportedMedia.Add(1)
-		writeError(w, http.StatusUnsupportedMediaType,
-			"%v (want %q or %q)", err, mlpart.ContentTypeJSON, mlpart.ContentTypeBinaryCSR)
+	// queue slot.
+	binary, ok := s.mediaType(w, r)
+	if !ok {
 		return
 	}
 
@@ -107,22 +160,8 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string,
 	// Decoding (including the zero-copy binary decode and its fused
 	// validation) runs here, outside the worker slot: a malformed body
 	// never costs compute capacity.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var j job
-	if isBinary {
-		data, rerr := io.ReadAll(r.Body)
-		if rerr != nil {
-			s.met.badReqs.Add(1)
-			writeError(w, http.StatusBadRequest, "read body: %v", rerr)
-			return
-		}
-		j, err = c.binary(data, r.URL.Query())
-	} else {
-		j, err = c.json(json.NewDecoder(r.Body))
-	}
-	if err != nil {
-		s.met.badReqs.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+	j, ok := readBody(s, w, r, binary, c)
+	if !ok {
 		return
 	}
 	if pj, ok := j.(presetJob); ok {
@@ -130,37 +169,26 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string,
 	}
 	wantTrace := r.URL.Query().Get("trace") == "1"
 
-	// Cache lookup. Tracing bypasses the cache in both directions: its
-	// events describe one particular execution.
-	key, cacheable := j.key()
-	cacheable = cacheable && !wantTrace
-	if cacheable {
+	key := cacheKey(j, wantTrace)
+	if key != "" {
 		if body, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Add(1)
 			epm.completed.Add(1)
 			epm.latency.observe(time.Since(start))
-			writeResult(w, body, "hit", 0)
+			reply(w, outcome{status: http.StatusOK, body: body, cache: "hit"})
 			return
 		}
 		s.met.cacheMisses.Add(1)
 	}
 
-	// Per-request deadline: the client's budget, clamped by the server
-	// ceiling; the context also fires when the client disconnects.
-	timeout := s.cfg.Timeout
-	if ms := j.timeoutMS(); ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	// Stage 2: wait for a worker slot. The sync deadline starts before
+	// the wait, so a request whose deadline passes while queued aborts
+	// here without ever entering the pool; the context also fires when
+	// the client disconnects.
+	ctx, cancel := context.WithTimeout(r.Context(), s.budget(j))
 	defer cancel()
-
-	// Stage 2: wait for a worker slot. A request whose deadline already
-	// passed (or passes while queued) aborts here without ever entering
-	// the pool.
 	if err := s.pool.acquire(ctx); err != nil {
-		s.finishAborted(w, r, err)
+		reply(w, s.aborted(ctx, err))
 		return
 	}
 	dequeue()
@@ -169,124 +197,190 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string,
 		s.met.inFlight.Add(-1)
 		s.pool.release()
 	}()
+	s.met.started.Add(1)
+
+	out := s.execute(ctx, j, faults.SiteServiceWorker, key, wantTrace, nil)
+	if out.status == http.StatusOK {
+		epm.completed.Add(1)
+		epm.latency.observe(time.Since(start))
+	}
+	reply(w, out)
+}
+
+// outcome is one execution's reply in transport-neutral form: the sync
+// path writes it (reply), a job runner stores it (finishJob).
+type outcome struct {
+	status int
+	// body is the encoded wire result or error, newline-terminated.
+	body []byte
+	// incident is the id of a 500, logged server-side with the detail.
+	incident string
+	// errText is the short failure text a failed job records.
+	errText string
+	// cache is a result's X-Cache status: "hit", "miss", or "bypass"
+	// for a traced run; "" on failures.
+	cache string
+	// computeNS is the wall time of the guarded run alone.
+	computeNS int64
+	// canceled: the parent context was canceled (a vanished client, a
+	// DELETEd job), so nobody is left to reply to.
+	canceled bool
+}
+
+// budget is a request's compute deadline: the client's timeout_ms,
+// clamped by the server ceiling.
+func (s *Server) budget(j job) time.Duration {
+	timeout := s.cfg.Timeout
+	if ms := j.timeoutMS(); ms > 0 {
+		if d := time.Duration(ms) * time.Millisecond; d < timeout {
+			timeout = d
+		}
+	}
+	return timeout
+}
+
+// execute is the one execution path of synchronous requests and async
+// jobs; the caller holds a worker slot. It applies the request deadline,
+// runs j behind the panic and fault-injection boundary at site, maps
+// failures to their wire errors, and encodes, caches and (for a traced
+// run) wraps the result. key is the result-cache key ("" keeps the result
+// out of the cache); jb, non-nil for an async job, adds the job's
+// started/done events to a traced run.
+func (s *Server) execute(ctx context.Context, j job, site string, key string, wantTrace bool, jb *jobs.Job) outcome {
+	// The deadline starts here. A sync request applied the same clamp
+	// before its slot wait; re-applying it cannot extend that deadline.
+	ctx, cancel := context.WithTimeout(ctx, s.budget(j))
+	defer cancel()
 	if s.hookCompute != nil {
 		s.hookCompute(ctx)
 	}
-	s.met.started.Add(1)
 
 	var collector *mlpart.TraceCollector
 	var tracer mlpart.Tracer
 	if wantTrace {
 		collector = &mlpart.TraceCollector{}
 		tracer = collector
+		if jb != nil {
+			snap := jb.Snapshot()
+			collector.Event(mlpart.TraceEvent{
+				Kind: trace.KindJob, Phase: "started", Job: jb.ID(),
+				ElapsedNS: snap.Started.Sub(snap.Submitted).Nanoseconds(),
+			})
+		}
 	}
 
+	// The panic boundary: site's injector fires first (so a plan can
+	// poison this path itself), then the job runs with any panic —
+	// injected or organic — recovered into a typed *faults.PanicError
+	// instead of unwinding into net/http, whose own recover would kill
+	// the connection without a reply, or out of a job goroutine.
+	var resp any
 	computeStart := time.Now()
-	resp, err := s.runGuarded(ctx, j, tracer)
+	err := faults.Boundary(site, func() error {
+		if ierr := s.inj.Fire(site); ierr != nil {
+			return ierr
+		}
+		var rerr error
+		resp, rerr = j.run(ctx, tracer, s.inj)
+		return rerr
+	})
 	computeNS := time.Since(computeStart).Nanoseconds()
 	if err != nil {
+		var out outcome
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.finishAborted(w, r, err)
-			return
+			out = s.aborted(ctx, err)
+		} else {
+			out = s.computeFailure(err)
 		}
-		status, incident, ebody := s.computeFailure(err)
-		if incident != "" {
-			w.Header().Set("X-Incident-Id", incident)
-		}
-		writeBody(w, status, ebody)
-		return
+		out.computeNS = computeNS
+		return out
 	}
 	if degradedResponse(resp) {
 		// A degraded result is valid but execution-specific (it reflects
 		// transient fault state); count it and keep it out of the cache so
 		// a later identical request gets a clean run.
 		s.met.degraded.Add(1)
-		cacheable = false
+		key = ""
 	}
 
 	body, err := json.Marshal(resp)
 	if err != nil {
 		s.met.errors.Add(1)
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
+		return outcome{status: http.StatusInternalServerError, body: errorBody("encode: %v", err),
+			errText: "encode failure", computeNS: computeNS}
 	}
 	body = append(body, '\n')
-	if cacheable {
+	if key != "" {
 		s.cache.put(key, body)
 	}
-	epm.completed.Add(1)
-	epm.latency.observe(time.Since(start))
-
-	if wantTrace {
-		env := struct {
-			Result json.RawMessage     `json:"result"`
-			Trace  []mlpart.TraceEvent `json:"trace"`
-		}{
-			Result: json.RawMessage(bytes.TrimRight(body, "\n")),
-			Trace:  collector.Events(),
-		}
-		tb, err := json.Marshal(env)
-		if err != nil {
-			s.met.errors.Add(1)
-			writeError(w, http.StatusInternalServerError, "encode trace: %v", err)
-			return
-		}
-		writeResult(w, append(tb, '\n'), "bypass", computeNS)
-		return
+	if !wantTrace {
+		return outcome{status: http.StatusOK, body: body, cache: "miss", computeNS: computeNS}
 	}
-	writeResult(w, body, "miss", computeNS)
-}
 
-// runGuarded is the worker-path panic boundary: the injector's
-// service/worker site fires first (so operators can poison the worker path
-// itself), then the job runs with any panic — injected or organic —
-// recovered into a typed *faults.PanicError instead of unwinding into
-// net/http, whose own recover would kill the connection without a reply.
-func (s *Server) runGuarded(ctx context.Context, j job, tr mlpart.Tracer) (resp any, err error) {
-	err = faults.Boundary(faults.SiteServiceWorker, func() error {
-		if ierr := s.inj.Fire(faults.SiteServiceWorker); ierr != nil {
-			return ierr
-		}
-		var rerr error
-		resp, rerr = j.run(ctx, tr, s.inj)
-		return rerr
-	})
+	if jb != nil {
+		collector.Event(mlpart.TraceEvent{
+			Kind: trace.KindJob, Phase: "done", Job: jb.ID(), ElapsedNS: computeNS,
+		})
+	}
+	env := struct {
+		Result json.RawMessage     `json:"result"`
+		Trace  []mlpart.TraceEvent `json:"trace"`
+	}{
+		Result: json.RawMessage(bytes.TrimRight(body, "\n")),
+		Trace:  collector.Events(),
+	}
+	tb, err := json.Marshal(env)
 	if err != nil {
-		return nil, err
+		s.met.errors.Add(1)
+		return outcome{status: http.StatusInternalServerError, body: errorBody("encode trace: %v", err),
+			errText: "encode failure", computeNS: computeNS}
 	}
-	return resp, nil
+	return outcome{status: http.StatusOK, body: append(tb, '\n'), cache: "bypass", computeNS: computeNS}
 }
 
-// computeFailure maps a non-context compute error to the HTTP status and
-// encoded wire error body the daemon replies with, bumping the same
-// counters and incident log whether the computation ran synchronously or
-// as an asynchronous job — a failed job replays byte-for-byte the error
-// the synchronous endpoint would have sent.
+// aborted classifies a context-terminated wait or run: a canceled parent
+// (a vanished client, a DELETEd job) gets no reply and a "canceled"
+// count, an expired deadline a 504.
+func (s *Server) aborted(ctx context.Context, err error) outcome {
+	if errors.Is(ctx.Err(), context.Canceled) {
+		s.met.canceled.Add(1)
+		return outcome{canceled: true}
+	}
+	s.met.timedOut.Add(1)
+	return outcome{status: http.StatusGatewayTimeout, body: errorBody("deadline exceeded: %v", err),
+		errText: "deadline exceeded"}
+}
+
+// computeFailure maps a non-context compute error to the reply the
+// daemon sends, bumping the same counters and incident log whether the
+// computation ran synchronously, as an async job or inside a session — a
+// failed job replays byte-for-byte the error the synchronous endpoint
+// would have sent.
 //
 // A recovered panic or an injected infrastructure fault is the server's
 // failure, not the client's: 500 with an incident id, detail logged
 // server-side — the poisoned request must not take the daemon down.
 // Everything else the engine rejects is a client error: 400.
-func (s *Server) computeFailure(err error) (status int, incident string, body []byte) {
+func (s *Server) computeFailure(err error) outcome {
 	var pe *faults.PanicError
 	if errors.As(err, &pe) {
 		s.met.panicsRecovered.Add(1)
 		s.met.errors.Add(1)
 		id := s.nextIncident()
 		log.Printf("mlserved: incident %s: recovered panic at %s: %v\n%s", id, pe.Site, pe.Value, pe.Stack)
-		return http.StatusInternalServerError, id,
-			errorBody("internal error (incident %s): the request could not be completed", id)
+		return outcome{status: http.StatusInternalServerError, incident: id, errText: err.Error(),
+			body: errorBody("internal error (incident %s): the request could not be completed", id)}
 	}
 	var ie *faults.InjectedError
 	if errors.As(err, &ie) {
 		s.met.errors.Add(1)
 		id := s.nextIncident()
 		log.Printf("mlserved: incident %s: %v", id, err)
-		return http.StatusInternalServerError, id,
-			errorBody("internal error (incident %s): %v", id, err)
+		return outcome{status: http.StatusInternalServerError, incident: id, errText: err.Error(),
+			body: errorBody("internal error (incident %s): %v", id, err)}
 	}
 	s.met.badReqs.Add(1)
-	return http.StatusBadRequest, "", errorBody("%v", err)
+	return outcome{status: http.StatusBadRequest, body: errorBody("%v", err), errText: err.Error()}
 }
 
 // degradedResponse reports whether a computed response took a
@@ -296,33 +390,28 @@ func degradedResponse(resp any) bool {
 	return ok && len(pr.Degradations) > 0
 }
 
-// finishAborted handles a context-terminated request: a vanished client
-// gets nothing (and a "canceled" count), a live one gets 504.
-func (s *Server) finishAborted(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() != nil {
-		s.met.canceled.Add(1)
+// reply writes a synchronous outcome; a canceled one gets no reply. A
+// result's cache status and compute time travel as headers so that
+// cached bodies stay byte-identical to cold ones.
+func reply(w http.ResponseWriter, out outcome) {
+	if out.canceled {
 		return
 	}
-	s.met.timedOut.Add(1)
-	writeError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
-}
-
-// writeResult writes a 200 with the (already encoded) result body. The
-// cache status and compute time travel as headers so that cached bodies
-// stay byte-identical to cold ones.
-func writeResult(w http.ResponseWriter, body []byte, cacheStatus string, computeNS int64) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", cacheStatus)
-	if computeNS > 0 {
-		w.Header().Set("X-Compute-Ns", strconv.FormatInt(computeNS, 10))
+	if out.incident != "" {
+		w.Header().Set("X-Incident-Id", out.incident)
 	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	if out.cache != "" {
+		w.Header().Set("X-Cache", out.cache)
+		if out.computeNS > 0 {
+			w.Header().Set("X-Compute-Ns", strconv.FormatInt(out.computeNS, 10))
+		}
+	}
+	writeBody(w, out.status, out.body)
 }
 
 // binaryRequest classifies the request's Content-Type: false for JSON
 // (the default when the header is absent), true for the binary CSR
-// encoding, an error for anything else — which serveCompute turns into
+// encoding, an error for anything else — which mediaType turns into
 // 415 Unsupported Media Type.
 func binaryRequest(r *http.Request) (bool, error) {
 	ctype := r.Header.Get("Content-Type")
@@ -623,7 +712,7 @@ func (j *partitionJob) preset() string {
 	return "custom"
 }
 
-func (j *partitionJob) key() (string, bool) {
+func (j *partitionJob) key() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s|fp=%016x|%s|", epPartition, j.g.Fingerprint(), canonicalOptions(j.req.Options))
 	if len(j.req.Fractions) > 0 {
@@ -644,7 +733,7 @@ func (j *partitionJob) key() (string, bool) {
 		}
 		fmt.Fprintf(&sb, "method=%s k=%d", method, j.req.K)
 	}
-	return sb.String(), true
+	return sb.String()
 }
 
 func (j *partitionJob) run(ctx context.Context, tr mlpart.Tracer, inj *mlpart.FaultInjector) (any, error) {
@@ -731,9 +820,9 @@ func decodeOrderBinary(data []byte, q url.Values) (job, error) {
 
 func (j *orderJob) timeoutMS() int64 { return j.req.TimeoutMS }
 
-func (j *orderJob) key() (string, bool) {
+func (j *orderJob) key() string {
 	return fmt.Sprintf("%s|fp=%016x|%s|analyze=%t",
-		epOrder, j.g.Fingerprint(), canonicalOptions(j.req.Options), j.req.Analyze), true
+		epOrder, j.g.Fingerprint(), canonicalOptions(j.req.Options), j.req.Analyze)
 }
 
 func (j *orderJob) run(ctx context.Context, tr mlpart.Tracer, inj *mlpart.FaultInjector) (any, error) {
@@ -822,7 +911,7 @@ func decodeRepartitionBinary(data []byte, q url.Values) (job, error) {
 
 func (j *repartitionJob) timeoutMS() int64 { return j.req.TimeoutMS }
 
-func (j *repartitionJob) key() (string, bool) {
+func (j *repartitionJob) key() string {
 	o := mlpart.RepartitionOptions{}
 	if j.req.Options != nil {
 		o = *j.req.Options
@@ -835,7 +924,7 @@ func (j *repartitionJob) key() (string, bool) {
 	}
 	return fmt.Sprintf("%s|fp=%016x|k=%d|ub=%.17g mw=%.17g s=%d|wh=%016x",
 		epRepartition, j.g.Fingerprint(), j.req.K,
-		o.Ubfactor, o.MigrationWeight, o.Seed, hashInts(j.req.Where)), true
+		o.Ubfactor, o.MigrationWeight, o.Seed, hashInts(j.req.Where))
 }
 
 func (j *repartitionJob) run(ctx context.Context, _ mlpart.Tracer, _ *mlpart.FaultInjector) (any, error) {

@@ -1,11 +1,8 @@
 package service
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -13,17 +10,16 @@ import (
 	"mlpart"
 	"mlpart/internal/faults"
 	"mlpart/internal/jobs"
-	"mlpart/internal/trace"
 )
 
-// The asynchronous job API. A submission is the same decoded, validated
-// compute request the synchronous endpoints take — the identical codec
-// runs, the identical job interface executes on the identical worker pool
-// — but instead of holding the HTTP connection open for the result, the
-// daemon records the job, replies 202 with an id, and lets the client
-// poll. Because both paths share decode, execution, error mapping and
-// encoding, a finished job's stored body is byte-for-byte what the
-// synchronous endpoint would have sent.
+// The asynchronous job API. A submission is decoded and validated by the
+// same codec and body reader as the synchronous endpoint, and its runner
+// executes it through the same execute — deadline, panic boundary (at
+// the jobs/run fault site instead of service/worker), error mapping,
+// encoding, cache fill and trace envelope — so a finished job's stored
+// reply is byte-for-byte what the synchronous endpoint would have sent.
+// Instead of holding the connection open for that reply, the daemon
+// records the job, answers 202 with an id, and lets the client poll.
 //
 //	POST   /v1/jobs?type=partition|order|repartition   submit (JSON or csrb body)
 //	POST   /v1/jobs/batch                              submit many (JSON only)
@@ -32,27 +28,29 @@ import (
 //
 // GET's contract: while the job is active the reply is a JobResponse
 // with a retry_after_ms hint; once it is done or failed the reply IS the
-// stored wire result (or wire error) under its original status code,
-// tagged with an X-Job-State header; a canceled job stays a JobResponse.
-// Jobs bypass the admission queue — the store's capacity is their
-// admission control — but wait for the same worker slots as synchronous
-// requests, so the pool's concurrency bound holds across both APIs.
+// stored wire result (or wire error) under its original status code and,
+// for a 500, its X-Incident-Id, tagged with an X-Job-State header; a
+// canceled job stays a JobResponse. Jobs bypass the admission queue — the
+// store's capacity is their admission control — but wait for the same
+// worker slots as synchronous requests, so the pool's concurrency bound
+// holds across both APIs. A job's deadline starts when it starts
+// running, not at submission.
 
 // jobPollHintMS is the polling interval hint sent while a job is active.
 const jobPollHintMS = 100
 
 // jobCodec resolves a submission's type parameter to its canonical name
 // and request codec.
-func jobCodec(typ string) (string, codec, bool) {
+func jobCodec(typ string) (string, codec[job], bool) {
 	switch typ {
 	case "", mlpart.JobTypePartition:
-		return mlpart.JobTypePartition, codec{json: decodePartition, binary: decodePartitionBinary}, true
+		return mlpart.JobTypePartition, partitionCodec, true
 	case mlpart.JobTypeOrder:
-		return mlpart.JobTypeOrder, codec{json: decodeOrder, binary: decodeOrderBinary}, true
+		return mlpart.JobTypeOrder, orderCodec, true
 	case mlpart.JobTypeRepartition:
-		return mlpart.JobTypeRepartition, codec{json: decodeRepartition, binary: decodeRepartitionBinary}, true
+		return mlpart.JobTypeRepartition, repartitionCodec, true
 	}
-	return "", codec{}, false
+	return "", codec[job]{}, false
 }
 
 // jobWire renders a store snapshot as the wire JobResponse.
@@ -104,29 +102,12 @@ func (s *Server) serveJobSubmit(w http.ResponseWriter, r *http.Request) {
 			r.URL.Query().Get("type"), mlpart.JobTypePartition, mlpart.JobTypeOrder, mlpart.JobTypeRepartition)
 		return
 	}
-	isBinary, err := binaryRequest(r)
-	if err != nil {
-		s.met.unsupportedMedia.Add(1)
-		writeError(w, http.StatusUnsupportedMediaType,
-			"%v (want %q or %q)", err, mlpart.ContentTypeJSON, mlpart.ContentTypeBinaryCSR)
+	binary, ok := s.mediaType(w, r)
+	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var j job
-	if isBinary {
-		data, rerr := io.ReadAll(r.Body)
-		if rerr != nil {
-			s.met.badReqs.Add(1)
-			writeError(w, http.StatusBadRequest, "read body: %v", rerr)
-			return
-		}
-		j, err = c.binary(data, r.URL.Query())
-	} else {
-		j, err = c.json(json.NewDecoder(r.Body))
-	}
-	if err != nil {
-		s.met.badReqs.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+	j, ok := readBody(s, w, r, binary, c)
+	if !ok {
 		return
 	}
 	resp, err := s.submitDecoded(j, typ, r.URL.Query().Get("trace") == "1")
@@ -282,15 +263,10 @@ func buildBatchJob(bj mlpart.BatchJob) (job, string, error) {
 // the result cache, shed when the store is full, otherwise record the
 // job and spawn its runner. The returned error is jobs.ErrFull or nil.
 func (s *Server) submitDecoded(j job, typ string, wantTrace bool) (mlpart.JobResponse, error) {
-	key, cacheable := j.key()
-	// Tracing makes the execution request-specific: no coalescing with
-	// (or into) untraced submissions, no cache in either direction.
-	cacheable = cacheable && !wantTrace
-	coalesceKey := ""
-	if cacheable {
-		coalesceKey = key
-	}
-	jb, fresh, err := s.jobs.Submit(typ, coalesceKey)
+	// A traced submission has no key: no coalescing with (or into)
+	// untraced submissions, no cache in either direction.
+	key := cacheKey(j, wantTrace)
+	jb, fresh, err := s.jobs.Submit(typ, key)
 	if err != nil {
 		s.met.jobsShed.Add(1)
 		return mlpart.JobResponse{}, err
@@ -305,13 +281,13 @@ func (s *Server) submitDecoded(j job, typ string, wantTrace bool) (mlpart.JobRes
 	if pj, ok := j.(presetJob); ok {
 		s.met.countPreset(pj.preset())
 	}
-	if cacheable {
+	if key != "" {
 		// An already cached result completes the job at submission time:
 		// the client still polls, but the first GET replays the body.
 		if body, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Add(1)
 			s.jobs.Start(jb)
-			s.jobs.Finish(jb, jobs.StateDone, jobs.Outcome{Code: http.StatusOK, Body: body}, "")
+			s.finishJob(jb, outcome{status: http.StatusOK, body: body})
 			return jobWire(jb.Snapshot()), nil
 		}
 		s.met.cacheMisses.Add(1)
@@ -319,7 +295,7 @@ func (s *Server) submitDecoded(j job, typ string, wantTrace bool) (mlpart.JobRes
 	s.jobWG.Add(1)
 	go func() {
 		defer s.jobWG.Done()
-		s.runJob(jb, j, key, cacheable, wantTrace)
+		s.runJob(jb, j, key, wantTrace)
 	}()
 	return jobWire(jb.Snapshot()), nil
 }
@@ -342,8 +318,11 @@ func (s *Server) serveJobByID(w http.ResponseWriter, r *http.Request) {
 		switch snap.State {
 		case jobs.StateDone, jobs.StateFailed:
 			// The stored reply IS the synchronous endpoint's reply —
-			// status code and body bytes alike.
+			// status code, incident id and body bytes alike.
 			w.Header().Set("X-Job-State", string(snap.State))
+			if snap.Outcome.Incident != "" {
+				w.Header().Set("X-Incident-Id", snap.Outcome.Incident)
+			}
 			writeBody(w, snap.Outcome.Code, snap.Outcome.Body)
 		case jobs.StateCanceled:
 			w.Header().Set("X-Job-State", string(snap.State))
@@ -375,11 +354,10 @@ func (s *Server) serveJobByID(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runJob is one job's runner goroutine: wait for a worker slot, execute
-// under the same deadline, panic boundary and error mapping as the
-// synchronous path, store the outcome. The job's context — canceled by
-// DELETE — gates both the wait and the computation.
-func (s *Server) runJob(jb *jobs.Job, j job, key string, cacheable, wantTrace bool) {
+// runJob is one job's runner goroutine: acquire a worker slot, Start,
+// execute at the jobs/run site, store the outcome. The job's context —
+// canceled by DELETE — gates both the wait and the computation.
+func (s *Server) runJob(jb *jobs.Job, j job, key string, wantTrace bool) {
 	jctx := jb.Context()
 	if err := s.pool.acquire(jctx); err != nil {
 		// Canceled while waiting (the job context carries no deadline, so
@@ -391,115 +369,28 @@ func (s *Server) runJob(jb *jobs.Job, j job, key string, cacheable, wantTrace bo
 		return // canceled between slot acquisition and start
 	}
 	snap := jb.Snapshot()
-	queueWait := snap.Started.Sub(snap.Submitted)
-	s.met.jobQueueLatency.observe(queueWait)
+	s.met.jobQueueLatency.observe(snap.Started.Sub(snap.Submitted))
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
 	s.met.started.Add(1)
 
-	// The compute deadline starts when execution starts, not at
-	// submission: a job that waited out a long queue still gets its full
-	// budget, and the TTL — not the deadline — bounds how long the record
-	// lives.
-	timeout := s.cfg.Timeout
-	if ms := j.timeoutMS(); ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(jctx, timeout)
-	defer cancel()
-	if s.hookCompute != nil {
-		s.hookCompute(ctx)
-	}
-
-	var collector *mlpart.TraceCollector
-	var tracer mlpart.Tracer
-	if wantTrace {
-		collector = &mlpart.TraceCollector{}
-		tracer = collector
-		collector.Event(mlpart.TraceEvent{
-			Kind: trace.KindJob, Phase: "started", Job: jb.ID(), ElapsedNS: queueWait.Nanoseconds(),
-		})
-	}
-
-	computeStart := time.Now()
-	resp, err := s.runJobGuarded(ctx, j, tracer)
-	computeNS := time.Since(computeStart)
-	s.met.jobRunLatency.observe(computeNS)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled) && jctx.Err() != nil:
-			s.met.canceled.Add(1)
-			return // DELETE flipped the state already
-		case errors.Is(err, context.DeadlineExceeded):
-			s.met.timedOut.Add(1)
-			s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{
-				Code: http.StatusGatewayTimeout,
-				Body: errorBody("deadline exceeded: %v", err),
-			}, "deadline exceeded")
-			return
-		}
-		status, _, ebody := s.computeFailure(err)
-		s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{Code: status, Body: ebody}, err.Error())
-		return
-	}
-	if degradedResponse(resp) {
-		s.met.degraded.Add(1)
-		cacheable = false
-	}
-	body, merr := json.Marshal(resp)
-	if merr != nil {
-		s.met.errors.Add(1)
-		s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{
-			Code: http.StatusInternalServerError,
-			Body: errorBody("encode: %v", merr),
-		}, "encode failure")
-		return
-	}
-	body = append(body, '\n')
-	if cacheable {
-		s.cache.put(key, body)
-	}
-	if wantTrace {
-		collector.Event(mlpart.TraceEvent{
-			Kind: trace.KindJob, Phase: "done", Job: jb.ID(), ElapsedNS: computeNS.Nanoseconds(),
-		})
-		env := struct {
-			Result json.RawMessage     `json:"result"`
-			Trace  []mlpart.TraceEvent `json:"trace"`
-		}{
-			Result: json.RawMessage(bytes.TrimRight(body, "\n")),
-			Trace:  collector.Events(),
-		}
-		tb, terr := json.Marshal(env)
-		if terr != nil {
-			s.met.errors.Add(1)
-			s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{
-				Code: http.StatusInternalServerError,
-				Body: errorBody("encode trace: %v", terr),
-			}, "encode failure")
-			return
-		}
-		body = append(tb, '\n')
-	}
-	s.jobs.Finish(jb, jobs.StateDone, jobs.Outcome{Code: http.StatusOK, Body: body}, "")
+	// execute starts the deadline now, not at submission: a job that
+	// waited out a long queue still gets its full budget, and the TTL —
+	// not the deadline — bounds how long the record lives.
+	out := s.execute(jctx, j, faults.SiteJobRun, key, wantTrace, jb)
+	s.met.jobRunLatency.observe(time.Duration(out.computeNS))
+	s.finishJob(jb, out)
 }
 
-// runJobGuarded is the job-path panic boundary, the asynchronous twin of
-// runGuarded with its own injection site: plans can fail jobs without
-// touching synchronous traffic.
-func (s *Server) runJobGuarded(ctx context.Context, j job, tr mlpart.Tracer) (resp any, err error) {
-	err = faults.Boundary(faults.SiteJobRun, func() error {
-		if ierr := s.inj.Fire(faults.SiteJobRun); ierr != nil {
-			return ierr
-		}
-		var rerr error
-		resp, rerr = j.run(ctx, tr, s.inj)
-		return rerr
-	})
-	if err != nil {
-		return nil, err
+// finishJob stores a job's outcome. A canceled run stores nothing: the
+// DELETE that canceled it already flipped the record.
+func (s *Server) finishJob(jb *jobs.Job, out outcome) {
+	if out.canceled {
+		return
 	}
-	return resp, nil
+	state := jobs.StateDone
+	if out.status != http.StatusOK {
+		state = jobs.StateFailed
+	}
+	s.jobs.Finish(jb, state, jobs.Outcome{Code: out.status, Body: out.body, Incident: out.incident}, out.errText)
 }

@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -33,26 +36,51 @@ func TestJobSubmitPollDoneParity(t *testing.T) {
 	wg := gridGraph(16, 16)
 
 	cases := []struct {
+		name    string
 		typ     string
 		syncURL string
 		req     any
+		// csrb, when set, is sent instead of req as a binary CSR body,
+		// with the non-graph fields in query.
+		csrb  []byte
+		query string
 	}{
-		{mlpart.JobTypePartition, "/v1/partition",
-			mlpart.PartitionRequest{Graph: wg, K: 4, Options: &mlpart.Options{Seed: 7}}},
-		{mlpart.JobTypeOrder, "/v1/order",
-			mlpart.OrderRequest{Graph: wg, Options: &mlpart.Options{Seed: 7}, Analyze: true}},
-		{mlpart.JobTypeRepartition, "/v1/repartition",
-			mlpart.RepartitionRequest{Graph: wg, K: 2, Where: alternating(256, 2)}},
+		{"partition", mlpart.JobTypePartition, "/v1/partition",
+			mlpart.PartitionRequest{Graph: wg, K: 4, Options: &mlpart.Options{Seed: 7}}, nil, ""},
+		{"order", mlpart.JobTypeOrder, "/v1/order",
+			mlpart.OrderRequest{Graph: wg, Options: &mlpart.Options{Seed: 7}, Analyze: true}, nil, ""},
+		{"repartition", mlpart.JobTypeRepartition, "/v1/repartition",
+			mlpart.RepartitionRequest{Graph: wg, K: 2, Where: alternating(256, 2)}, nil, ""},
+		{"partition-csrb", mlpart.JobTypePartition, "/v1/partition",
+			nil, binaryBody(t, wg, nil), "k=4&seed=7"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.typ, func(t *testing.T) {
-			resp, syncBody := postJSON(t, ts.Client(), ts.URL+tc.syncURL, tc.req)
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				resp     *http.Response
+				syncBody []byte
+				jr       *mlpart.JobResponse
+				err      error
+			)
+			if tc.csrb == nil {
+				resp, syncBody = postJSON(t, ts.Client(), ts.URL+tc.syncURL, tc.req)
+				jr, err = c.SubmitJob(context.Background(), tc.typ, tc.req)
+				if err != nil {
+					t.Fatalf("SubmitJob: %v", err)
+				}
+			} else {
+				resp, syncBody = postBinary(t, ts.Client(), ts.URL+tc.syncURL+"?"+tc.query, tc.csrb)
+				jresp, jdata := postBinary(t, ts.Client(), ts.URL+"/v1/jobs?type="+tc.typ+"&"+tc.query, tc.csrb)
+				if jresp.StatusCode != http.StatusAccepted {
+					t.Fatalf("csrb job submit status %d: %s", jresp.StatusCode, jdata)
+				}
+				jr = new(mlpart.JobResponse)
+				if err := json.Unmarshal(jdata, jr); err != nil {
+					t.Fatalf("csrb job submit reply: %v", err)
+				}
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("sync status %d: %s", resp.StatusCode, syncBody)
-			}
-			jr, err := c.SubmitJob(context.Background(), tc.typ, tc.req)
-			if err != nil {
-				t.Fatalf("SubmitJob: %v", err)
 			}
 			if jr.Kind != mlpart.WireKindJob || jr.ID == "" || jr.Type != tc.typ {
 				t.Fatalf("bad job response: %+v", jr)
@@ -541,6 +569,7 @@ func TestChaosJobPanic(t *testing.T) {
 	if err := json.Unmarshal(res.Body, &we); err != nil || !strings.Contains(we.Error, "incident") {
 		t.Fatalf("failed job must replay the incident error: %s", res.Body)
 	}
+	requirePollIncident(t, ts, jr.ID)
 	if got := s.met.panicsRecovered.Load(); got != 1 {
 		t.Errorf("panicsRecovered = %d, want 1", got)
 	}
@@ -572,10 +601,72 @@ func TestChaosJobInjectedError(t *testing.T) {
 	if res.State != mlpart.JobStateFailed || res.Status != http.StatusInternalServerError {
 		t.Fatalf("injected error job: state=%q status=%d body=%s", res.State, res.Status, res.Body)
 	}
+	requirePollIncident(t, ts, jr.ID)
 	if got := s.met.errors.Load(); got != 1 {
 		t.Errorf("errors = %d, want 1", got)
 	}
 	if got := s.met.panicsRecovered.Load(); got != 0 {
 		t.Errorf("panicsRecovered = %d, want 0 (error, not panic)", got)
+	}
+}
+
+// requirePollIncident requires a failed job's poll reply to carry the
+// X-Incident-Id header a synchronous 500 carries, equal to the incident
+// id inside the replayed error body.
+func requirePollIncident(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`\(incident ([^)]+)\)`).FindSubmatch(body)
+	if m == nil {
+		t.Fatalf("failed job body names no incident: %s", body)
+	}
+	if got := resp.Header.Get("X-Incident-Id"); got != string(m[1]) {
+		t.Fatalf("poll reply X-Incident-Id = %q, want %q from the body", got, m[1])
+	}
+}
+
+// TestChaosSiteIsolation pins what separates the two execution sites: a
+// plan poisoning every synchronous request at service/worker leaves jobs
+// alone, and one poisoning every job at jobs/run leaves synchronous
+// requests alone.
+func TestChaosSiteIsolation(t *testing.T) {
+	req := mlpart.PartitionRequest{Graph: gridGraph(12, 12), K: 4, Options: &mlpart.Options{Seed: 7}}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		plan                string
+		syncStatus, jobCode int
+		jobState            string
+	}{
+		{"service/worker=panic@*", http.StatusInternalServerError, http.StatusOK, mlpart.JobStateDone},
+		{"jobs/run=panic@*", http.StatusOK, http.StatusInternalServerError, mlpart.JobStateFailed},
+	} {
+		t.Run(tc.plan, func(t *testing.T) {
+			// Caching disabled: each path must reach its own boundary.
+			_, ts := newTestServer(t, Config{CacheSize: -1, FaultInjector: faults.MustParse(tc.plan)})
+			c := sdk(ts, ts.URL)
+			resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/partition", req)
+			if resp.StatusCode != tc.syncStatus {
+				t.Errorf("sync POST: status %d, want %d (%s)", resp.StatusCode, tc.syncStatus, data)
+			}
+			jr, err := c.SubmitJob(ctx, mlpart.JobTypePartition, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.WaitJob(ctx, jr.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.State != tc.jobState || res.Status != tc.jobCode {
+				t.Errorf("job: state=%q status=%d, want %q %d (%s)", res.State, res.Status, tc.jobState, tc.jobCode, res.Body)
+			}
+		})
 	}
 }

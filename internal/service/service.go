@@ -220,13 +220,13 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/graphs", s.serveSessions)
 	s.mux.HandleFunc("/v1/graphs/", s.serveSessionByID)
 	s.mux.HandleFunc("/v1/partition", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, epPartition, codec{json: decodePartition, binary: decodePartitionBinary})
+		s.serveCompute(w, r, epPartition, partitionCodec)
 	})
 	s.mux.HandleFunc("/v1/order", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, epOrder, codec{json: decodeOrder, binary: decodeOrderBinary})
+		s.serveCompute(w, r, epOrder, orderCodec)
 	})
 	s.mux.HandleFunc("/v1/repartition", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, epRepartition, codec{json: decodeRepartition, binary: decodeRepartitionBinary})
+		s.serveCompute(w, r, epRepartition, repartitionCodec)
 	})
 	s.mux.HandleFunc("/v1/capabilities", s.serveCapabilities)
 	s.mux.HandleFunc("/healthz", s.serveHealthz)

@@ -1028,8 +1028,7 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 		case TierFull:
 			wh := append([]int(nil), s.where...)
 			p := kway.NewPartition(g, s.k, wh)
-			kway.Rebalance(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed})
-			kway.Refine(p, kway.Options{Ubfactor: s.ubfactor, Seed: s.seed})
+			kway.Repair(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed})
 			s.adopt(p, true)
 		case TierVCycle:
 			res, verr := multilevel.PartitionKWay(g, s.k, multilevel.Options{

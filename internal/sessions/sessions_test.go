@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"mlpart"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
@@ -206,6 +208,62 @@ func TestExplicitRepairModes(t *testing.T) {
 	}
 	if _, err := m.Repair(st.ID, "nonsense"); err == nil {
 		t.Fatal("Repair with unknown mode succeeded")
+	}
+}
+
+// TestFullRepairMatchesRepartition pins the one repair routine both
+// surfaces share (kway.Repair): for the same graph, incumbent, ubfactor
+// and seed, an explicit "full" repair and mlpart.Repartition must return
+// the same partition vector and cut.
+func TestFullRepairMatchesRepartition(t *testing.T) {
+	const (
+		k    = 4
+		seed = 9
+		ub   = 1.03
+	)
+	// Ladder thresholds out of reach: the delta batch below is repaired
+	// at the boundary tier and leaves an overweight incumbent in place.
+	m := mustManager(t, Options{CutDriftRatio: 100, VCycleDriftRatio: 1000, MaxImbalance: 100})
+	st := mustCreate(t, m, matgen.Grid2D(24, 24), Config{K: k, Seed: seed, Ubfactor: ub})
+	created, err := m.Get(st.ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Quadruple the weight of every part-0 vertex; mirror it on a copy.
+	g := matgen.Grid2D(24, 24)
+	var ops []Op
+	for v, p := range created.Where {
+		if p == 0 {
+			ops = append(ops, Op{Op: OpVwgt, U: v, W: 4 * g.Vwgt[v]})
+			g.Vwgt[v] *= 4
+		}
+	}
+	applied, err := m.Apply(st.ID, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied.LastRepair != "boundary" {
+		t.Fatalf("delta batch repaired at tier %q, want boundary", applied.LastRepair)
+	}
+	incumbent, err := m.Get(st.ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	full, err := m.Repair(st.ID, "full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mlpart.Repartition(g, k, incumbent.Where, &mlpart.RepartitionOptions{Ubfactor: ub, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(full.Where, incumbent.Where) {
+		t.Fatal("full repair moved nothing; the test no longer exercises Rebalance")
+	}
+	if !slices.Equal(full.Where, res.Where) || full.Cut != res.EdgeCut {
+		t.Fatalf("session full repair (cut %d) differs from Repartition (cut %d)", full.Cut, res.EdgeCut)
 	}
 }
 

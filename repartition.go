@@ -88,20 +88,11 @@ func Repartition(g *Graph, k int, oldWhere []int, opts *RepartitionOptions) (*Re
 	}
 	where := append([]int(nil), oldWhere...)
 	p := kway.NewPartition(g, k, where)
-	kway.Rebalance(p, oldWhere, kway.RebalanceOptions{
+	migrated := kway.Repair(p, oldWhere, kway.RebalanceOptions{
 		Ubfactor:        opts.Ubfactor,
 		MigrationWeight: opts.MigrationWeight,
 		Seed:            opts.Seed,
 	})
-	// Recover cut quality lost to the diffusion moves; greedy k-way
-	// refinement respects the balance the rebalance just established.
-	kway.Refine(p, kway.Options{Ubfactor: opts.Ubfactor, Seed: opts.Seed})
-	migrated := 0
-	for v, w := range p.Where {
-		if w != oldWhere[v] {
-			migrated += g.Vwgt[v]
-		}
-	}
 	return &RepartitionResult{
 		Where:          p.Where,
 		EdgeCut:        p.Cut,

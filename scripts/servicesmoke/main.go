@@ -11,7 +11,10 @@
 // while /healthz stays 200 for the -ready-grace window, then the daemon
 // exits 0. A second daemon run with a delay fault at jobs/run proves the
 // drain path waits for a running async job ("jobs drained" in its log)
-// instead of abandoning it. A third run exercises durable graph
+// instead of abandoning it. A cache-less daemon then computes the same
+// request once synchronously and once as an async job, and requires the
+// poll replay to be byte-identical to the synchronous body. A last run
+// exercises durable graph
 // sessions: it creates a session, streams delta batches, forces a
 // repartition, SIGKILLs the daemon mid-flight, restarts it on the same
 // -state-dir and requires the recovered partition vector and edge-cut
@@ -343,6 +346,9 @@ func run() error {
 	if err := drainWaitsForJobs(mlserved, reqBody); err != nil {
 		return err
 	}
+	if err := syncJobParity(mlserved, reqBody); err != nil {
+		return err
+	}
 	return sessionsSurviveKill(mlserved, g)
 }
 
@@ -435,6 +441,74 @@ func drainWaitsForJobs(mlserved string, reqBody []byte) error {
 		return fmt.Errorf("daemon log missing %q — drain did not wait on job workers:\n%s", "jobs drained", logBuf.String())
 	}
 	fmt.Printf("drain waited %s for the running job before exit (jobs drained logged)\n", waited.Round(10*time.Millisecond))
+	return nil
+}
+
+// syncJobParity starts a daemon with the result cache disabled, so that
+// both paths really compute, and sends the same partition request to
+// POST /v1/partition and as a POST /v1/jobs submission. Sync requests and
+// jobs share one execution path, so the job's poll replay must be
+// byte-identical to the synchronous body.
+func syncJobParity(mlserved string, reqBody []byte) error {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	daemon := exec.Command(mlserved, "-addr", addr, "-workers", "2", "-cache", "-1")
+	daemon.Stderr = os.Stderr
+	if err := daemon.Start(); err != nil {
+		return err
+	}
+	defer daemon.Process.Kill()
+	base := "http://" + addr
+	rc := &service.RetryClient{
+		MaxAttempts: 40,
+		BaseDelay:   50 * time.Millisecond,
+		MaxDelay:    400 * time.Millisecond,
+	}
+
+	resp, err := rc.Post(base+"/v1/partition", "application/json", reqBody)
+	if err != nil {
+		return fmt.Errorf("parity daemon POST /v1/partition: %v", err)
+	}
+	syncBody, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		return fmt.Errorf("parity daemon sync POST: status %d, X-Cache %q, want 200 miss: %s",
+			resp.StatusCode, resp.Header.Get("X-Cache"), syncBody)
+	}
+	sdk := &service.Client{Base: base, HTTP: rc}
+	var req mlpart.PartitionRequest
+	if err := json.Unmarshal(reqBody, &req); err != nil {
+		return err
+	}
+	jr, err := sdk.SubmitJob(context.Background(), mlpart.JobTypePartition, req)
+	if err != nil {
+		return fmt.Errorf("parity daemon SubmitJob: %v", err)
+	}
+	res, err := sdk.WaitJob(context.Background(), jr.ID)
+	if err != nil {
+		return fmt.Errorf("parity daemon WaitJob %s: %v", jr.ID, err)
+	}
+	if res.State != mlpart.JobStateDone {
+		return fmt.Errorf("parity job %s finished %q: %s", jr.ID, res.State, res.Body)
+	}
+	if !bytes.Equal(res.Body, syncBody) {
+		return fmt.Errorf("job poll replay (%d bytes) differs from the sync body (%d bytes)", len(res.Body), len(syncBody))
+	}
+	fmt.Printf("sync/job byte parity: %d-byte body identical on both paths, no cache\n", len(syncBody))
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
+	}
+	if err := daemon.Wait(); err != nil {
+		return fmt.Errorf("parity daemon exited non-zero after SIGTERM: %v", err)
+	}
 	return nil
 }
 
