@@ -552,9 +552,9 @@ func BenchmarkCycles(b *testing.B) {
 
 // BenchmarkIngest is the zero-copy ingest acceptance benchmark: the same
 // ~125k-vertex 3D FE mesh decoded from each wire encoding. JSON and METIS
-// text re-tokenize every number; the binary CSR decode aliases the payload
-// buffer (one fused validation pass, ≤1 graph-sized allocation), and the
-// mmap variant adds only the mapping syscall. The JSON/Binary ns/op ratio
+// text parse every number from text; the binary CSR decode aliases the
+// payload buffer (one fused validation pass, ≤1 graph-sized allocation),
+// and the mmap variant adds only the mapping syscall. The JSON/Binary ns/op ratio
 // is the headline number in docs/PERFORMANCE.md's ingest table.
 func BenchmarkIngest(b *testing.B) {
 	g := matgen.FE3DTetra(50, 50, 50, 3)

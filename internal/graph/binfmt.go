@@ -1,8 +1,8 @@
 package graph
 
 // Binary CSR wire format ("csrb"). This is the zero-copy ingest fast path:
-// where the METIS text reader and the JSON wire graph re-tokenize every
-// number, DecodeBinary aliases the payload buffer directly into the
+// where the METIS text reader and the JSON wire graph parse every number
+// from text, DecodeBinary aliases the payload buffer directly into the
 // Graph's CSR slices when the encoded word width matches the host, and
 // validates everything in one fused pass. The same bytes serve as the HTTP
 // request body under Content-Type: application/x-mlpart-csr, as the
@@ -163,7 +163,7 @@ func intsAsBytes(xs []int) []byte {
 // the caller must keep data alive for the Graph's lifetime and must not
 // reuse the buffer. Mismatched widths fall back to a single widening pass
 // bounded by the input size. Validation is one fused pass (validateFused),
-// not the multi-pass Validate.
+// not the exact Validate.
 func DecodeBinary(data []byte) (*Graph, error) {
 	g, _, err := DecodeBinaryPart(data)
 	return g, err
@@ -325,8 +325,8 @@ func asymMix(u, v, w int) uint64 {
 }
 
 // validateFused checks the Graph invariants in one fused pass over the CSR
-// arrays — the ingest-path replacement for the multi-pass Validate, whose
-// per-edge symmetry probe costs O(m·d). Structure (Xadj monotone and
+// arrays, allocating nothing — the csrb ingest path's replacement for the
+// exact Validate, which builds a transient transpose. Structure (Xadj monotone and
 // consistent, neighbors in range, no self loops, positive weights) is
 // checked exactly; edge symmetry is checked probabilistically: every
 // stored edge (u,v,w) contributes asymMix(u,v,w) − asymMix(v,u,w) to a

@@ -9,7 +9,7 @@ import (
 // FuzzDecodeBinary holds the csrb decoder to the same bar as the text
 // readers: arbitrary bytes must produce either a valid graph or an error —
 // never a panic, and never an allocation larger than a constant factor of
-// the input. Accepted graphs must pass the full multi-pass Validate (the
+// the input. Accepted graphs must pass the exact Validate (the
 // ground truth the fused single-pass validation approximates) and must
 // round-trip through the encoder bit-compatibly.
 func FuzzDecodeBinary(f *testing.F) {

@@ -235,8 +235,8 @@ func TestBinaryRejectsAsymmetric(t *testing.T) {
 }
 
 func TestBinaryFusedMatchesValidate(t *testing.T) {
-	// Every graph the fused validator accepts must also pass the full
-	// multi-pass Validate, across the workloads the METIS reader accepts.
+	// Every graph the fused validator accepts must also pass the exact
+	// Validate, across the workloads the METIS reader accepts.
 	for _, in := range []string{
 		"3 2\n2\n1 3\n2\n",
 		"2 1 001\n2 5\n1 5\n",

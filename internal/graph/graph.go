@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 )
 
 // Graph is a weighted undirected graph in CSR (adjacency structure) form.
@@ -131,8 +132,11 @@ func (g *Graph) String() string {
 }
 
 // Validate checks all structural invariants and returns a descriptive error
-// for the first violation found. It is O(n + m·d) due to the symmetry check
-// and is intended for tests and input validation, not inner loops.
+// for the first violation found. Adjacency entries are checked in u-major
+// order; entry (u,v,w) is symmetric when the first occurrence of u in v's
+// list carries weight w (EdgeWeight(v, u) == w). It runs in O(n + m) time
+// with one transient m-entry index, so it is cheap enough for every ingest
+// path, hub-heavy graphs included.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -161,10 +165,62 @@ func (g *Graph) Validate() error {
 	if len(g.Adjncy)%2 != 0 {
 		return fmt.Errorf("graph: odd number of directed edges %d", len(g.Adjncy))
 	}
+	if n <= math.MaxInt32 && len(g.Adjncy) <= math.MaxInt32 {
+		return checkEntries[int32](g)
+	}
+	return checkEntries[int](g)
+}
+
+// reverseEntry is one entry of the transposed adjacency: position pos of
+// owner's list names the vertex whose bucket holds the entry.
+type reverseEntry[T int32 | int] struct{ owner, pos T }
+
+// checkEntries is Validate's per-entry pass: range, self loop, positive
+// weight, then symmetry, in u-major order. Instead of probing
+// EdgeWeight(v, u) per entry, an O(Σ deg²) scan, it counting-sorts the
+// in-range entries by the vertex they name (owners ascending, positions
+// ascending within an owner), so while visiting u a stamp per owner picks
+// the first occurrence of u in each list. T is int32 whenever n and m fit,
+// halving the index.
+func checkEntries[T int32 | int](g *Graph) error {
+	n := g.NumVertices()
+	// end[t] counts the entries naming t, then (after the fill) marks the
+	// end of t's bucket in rev; t's bucket starts where t-1's ends.
+	end := make([]int, n+1)
+	for _, t := range g.Adjncy {
+		if uint(t) < uint(n) {
+			end[t+1]++
+		}
+	}
+	for t := 0; t < n; t++ {
+		end[t+1] += end[t]
+	}
+	rev := make([]reverseEntry[T], end[n])
+	for v := 0; v < n; v++ {
+		for j := g.Xadj[v]; j < g.Xadj[v+1]; j++ {
+			if t := g.Adjncy[j]; uint(t) < uint(n) {
+				rev[end[t]] = reverseEntry[T]{T(v), T(j)}
+				end[t]++
+			}
+		}
+	}
+
+	// While visiting u, stamp[v] == u+1 marks that v's list names u, and
+	// back[v] is the weight of its first such entry.
+	stamp := make([]T, n)
+	back := make([]int, n)
+	lo := 0
 	for u := 0; u < n; u++ {
-		adj := g.Neighbors(u)
+		mark := T(u + 1)
+		for _, e := range rev[lo:end[u]] {
+			if stamp[e.owner] != mark {
+				stamp[e.owner] = mark
+				back[e.owner] = g.Adjwgt[e.pos]
+			}
+		}
+		lo = end[u]
 		wgt := g.EdgeWeights(u)
-		for i, v := range adj {
+		for i, v := range g.Neighbors(u) {
 			if v < 0 || v >= n {
 				return fmt.Errorf("graph: edge (%d,%d) out of range", u, v)
 			}
@@ -174,8 +230,12 @@ func (g *Graph) Validate() error {
 			if wgt[i] <= 0 {
 				return fmt.Errorf("graph: edge (%d,%d) weight %d, want > 0", u, v, wgt[i])
 			}
-			if back := g.EdgeWeight(v, u); back != wgt[i] {
-				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", u, v, wgt[i], back)
+			b := 0
+			if stamp[v] == mark {
+				b = back[v]
+			}
+			if b != wgt[i] {
+				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", u, v, wgt[i], b)
 			}
 		}
 	}

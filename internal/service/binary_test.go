@@ -315,6 +315,80 @@ func TestMixedEncodingClientsShareCache(t *testing.T) {
 	}
 }
 
+// TestOneGraphOneCacheEntry sends one graph as canonical JSON (the
+// one-pass WireGraph decoder), as JSON the reflection decoder handles
+// (case-variant, escaped and unknown keys, odd whitespace) and as csrb:
+// every encoding must land on the same fingerprint, so every request
+// after the first is a byte-identical cache hit.
+func TestOneGraphOneCacheEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// Non-unit weights, so an array lost or misplaced by one decoder
+	// changes the fingerprint.
+	wg := gridGraph(12, 12)
+	for u := range wg.Vwgt {
+		wg.Vwgt[u] = 1 + u%3
+		for j := wg.Xadj[u]; j < wg.Xadj[u+1]; j++ {
+			wg.Adjwgt[j] = 1 + (u+wg.Adjncy[j])%4
+		}
+	}
+	arr := func(xs []int) string {
+		b, err := json.Marshal(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	x, a, w, v := arr(wg.Xadj), arr(wg.Adjncy), arr(wg.Adjwgt), arr(wg.Vwgt)
+	canonical, err := json.Marshal(mlpart.PartitionRequest{Graph: wg, K: 4, Options: &mlpart.Options{Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := `{"k":4,"options":{"seed":9},"graph":`
+	bodies := []struct {
+		name, ctype, url, body string
+	}{
+		{"canonical", mlpart.ContentTypeJSON, "/v1/partition", string(canonical)},
+		{"reordered", mlpart.ContentTypeJSON, "/v1/partition",
+			head + "{\n\t\"vwgt\" : " + v + ",\r\n \"adjwgt\":" + w + " , \"adjncy\":" + a + ",\"xadj\":" + x + "\n}}"},
+		{"case-variant", mlpart.ContentTypeJSON, "/v1/partition",
+			head + `{"XADJ":` + x + `,"Adjncy":` + a + `,"adjwgt":` + w + `,"vwgt":` + v + `}}`},
+		{"escaped-key", mlpart.ContentTypeJSON, "/v1/partition",
+			head + `{"x\u0061dj":` + x + `,"adjncy":` + a + `,"adjwgt":` + w + `,"vwgt":` + v + `}}`},
+		{"unknown-key", mlpart.ContentTypeJSON, "/v1/partition",
+			head + `{"xadj":` + x + `,"adjncy":` + a + `,"name":"grid","adjwgt":` + w + `,"vwgt":` + v + `}}`},
+		{"csrb", mlpart.ContentTypeBinaryCSR, "/v1/partition?k=4&seed=9", string(binaryBody(t, wg, nil))},
+	}
+	var first []byte
+	for i, b := range bodies {
+		resp, err := ts.Client().Post(ts.URL+b.url, b.ctype, strings.NewReader(b.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", b.name, resp.StatusCode, data)
+		}
+		cache := resp.Header.Get("X-Cache")
+		if i == 0 {
+			if cache == "hit" {
+				t.Fatalf("%s: first request was a cache hit", b.name)
+			}
+			first = data
+			continue
+		}
+		if cache != "hit" {
+			t.Errorf("%s: X-Cache = %q, want hit", b.name, cache)
+		}
+		if !bytes.Equal(data, first) {
+			t.Errorf("%s: body differs from the first reply:\n%s\n%s", b.name, data, first)
+		}
+	}
+}
+
 // TestBinaryBadBodies spot-checks that corrupted binary payloads are
 // client errors (400), never 5xx.
 func TestBinaryBadBodies(t *testing.T) {

@@ -4,9 +4,15 @@
 // partitioning trial needs a handful of vertex-sized integer and boolean
 // arrays whose lifetime is bounded by a single call; allocating them fresh
 // dominates the constant factor the paper's 10-35x speedup claim depends
-// on. A Workspace keeps those buffers alive between calls so a whole
-// V-cycle (and the next one, via the global pool) runs allocation-free in
-// steady state.
+// on. A Workspace keeps those buffers alive between calls so later levels
+// and calls (via the global pool) reuse them instead of allocating.
+//
+// That reuse is partial, not allocation-free: a free list holds at most
+// maxFree buffers per type and PutInt drops any buffer offered beyond
+// that, whatever its size. On the recursive path the large per-level
+// hierarchy arrays are the ones dropped. Measured on FE3D-125k (k=32,
+// default options), one call obtains ~460 MiB of fresh buffers from Int,
+// ~458 MiB of which PutInt then refuses; see ROADMAP.md.
 //
 // Invariants:
 //
