@@ -60,10 +60,18 @@ type Partition struct {
 // where is retained, not copied.
 func NewPartition(g *graph.Graph, k int, where []int) *Partition {
 	p := &Partition{G: g, K: k, Where: where, Pwgt: make([]int, k)}
+	p.Recount()
+	return p
+}
+
+// Recount re-derives Pwgt and Cut from Where in one O(n+m) sweep,
+// discarding whatever the incremental state held.
+func (p *Partition) Recount() {
+	g, where := p.G, p.Where
+	clear(p.Pwgt)
+	p.Cut = 0
 	for v := 0; v < g.NumVertices(); v++ {
 		p.Pwgt[where[v]] += g.Vwgt[v]
-	}
-	for v := 0; v < g.NumVertices(); v++ {
 		adj := g.Neighbors(v)
 		wgt := g.EdgeWeights(v)
 		for i, u := range adj {
@@ -73,7 +81,6 @@ func NewPartition(g *graph.Graph, k int, where []int) *Partition {
 		}
 	}
 	p.Cut /= 2
-	return p
 }
 
 // Balance returns k*max(Pwgt)/total; 1.0 is perfect.

@@ -122,7 +122,9 @@ func (e *engine) phaseSeed(h *coarsen.Hierarchy, where []int, ws *workspace.Work
 // of where (pooled or fresh) and returns the finest-level where (pooled);
 // on cancellation it releases where and returns nil, false. The hierarchy
 // itself is not released. useBKWAY selects the boundary k-way kernel over
-// the classic full-sweep greedy refinement.
+// the classic full-sweep greedy refinement. The k-way state (part weights
+// and cut) is built once on the coarsest graph and carried up through
+// every projection.
 func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, seed int64, ws *workspace.Workspace, stats *Stats, tr trace.Tracer, useBKWAY bool) ([]int, bool) {
 	kopts := kway.Options{Ubfactor: e.opts.Ubfactor, Seed: seed, Workspace: ws, Tracer: tr, Counters: &stats.Counters}
 	t0 := time.Now()
@@ -131,25 +133,32 @@ func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, se
 	e.guardedKWayRefine(p, kopts, stats, tr, useBKWAY)
 	stats.RefineTime += time.Since(t0)
 	ok := e.uncoarsen(h, stats, tr, func(li int) int {
-		fine := h.Levels[li].Graph
-		cmap := h.Levels[li].Cmap
-		fineWhere := ws.Int(fine.NumVertices())
-		for v := range fineWhere {
-			fineWhere[v] = where[cmap[v]]
-		}
-		ws.PutInt(where)
-		where = fineWhere
-		p = kway.NewPartition(fine, k, where)
+		projectKWay(p, h.Levels[li], ws)
 		return p.Cut
 	}, func(li int) {
 		kopts.Level = li
 		e.guardedKWayRefine(p, kopts, stats, tr, useBKWAY)
 	})
 	if !ok {
-		ws.PutInt(where)
+		ws.PutInt(p.Where)
 		return nil, false
 	}
-	return where, true
+	return p.Where, true
+}
+
+// projectKWay moves p from the next-coarser graph onto lvl's graph in
+// place: the fine where-vector (pooled) replaces the coarse one, which is
+// released. Contraction sums vertex weights into multinodes and edge
+// weights into coarse edges, and every multinode lies in one part, so the
+// projected partition has exactly the coarse partition's part weights and
+// cut: Pwgt and Cut carry over without a rescan of the fine graph.
+func projectKWay(p *kway.Partition, lvl coarsen.Level, ws *workspace.Workspace) {
+	fineWhere := ws.Int(lvl.Graph.NumVertices())
+	for v, c := range lvl.Cmap {
+		fineWhere[v] = p.Where[c]
+	}
+	ws.PutInt(p.Where)
+	p.G, p.Where = lvl.Graph, fineWhere
 }
 
 // vCycle runs one extra multilevel cycle seeded from seedWhere: coarsen

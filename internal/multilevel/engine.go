@@ -548,7 +548,11 @@ func rebalance(b *refine.Bisection, ropts refine.Options) {
 }
 
 // guardedKWayRefine is guardedRefine's direct k-way counterpart: a faulted
-// or panicking k-way pass leaves the level's projected partition in place.
+// or panicking k-way pass keeps the level's partition vector as the
+// abandoned pass left it. A panic may strike mid-commit, between the
+// Where update and the Pwgt/Cut update, so the recover path re-derives
+// both from Where: the direct k-way V-cycle carries them to the next
+// level instead of recomputing them.
 // useBKWAY selects the kernel — the boundary engine of refine.RefineKWay
 // (with RefineWorkers propose-phase fan-out) versus the classic full-sweep
 // kway.Refine. First cycles pass the Refinement policy's choice; the extra
@@ -572,6 +576,7 @@ func (e *engine) guardedKWayRefine(p *kway.Partition, kopts kway.Options, stats 
 				Phase: "kway", From: algo, To: "projected",
 				Level: kopts.Level, Reason: pe.Error(),
 			})
+			p.Recount()
 		}
 	}()
 	if useBKWAY {

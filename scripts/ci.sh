@@ -62,11 +62,12 @@ else
 fi
 rm -f "$perf_now"
 
-echo "== fuzz smoke (graph readers + binary decoder + JSON graph decoder + session delta log)"
+echo "== fuzz smoke (graph readers + binary decoder + JSON graph decoder + session delta log + k-way refinement)"
 go test -fuzz '^FuzzRead$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzWireGraphJSON$' -fuzztime 10s -run '^$' .
 go test -fuzz '^FuzzDeltaLog$' -fuzztime 10s -run '^$' ./internal/sessions/
+go test -fuzz '^FuzzRefineKWay$' -fuzztime 10s -run '^$' ./internal/refine/
 
 echo "CI OK"
