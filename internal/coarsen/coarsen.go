@@ -436,6 +436,11 @@ type Options struct {
 	// the prerequisite for seeding an iterated multilevel cycle from a
 	// previous partition. The slice is caller-owned and never released.
 	Respect []int
+	// Workers chunks GCLP's propose phase across that many goroutines
+	// (<= 1 proposes serially). Proposals read only the round snapshot and
+	// commits are serial, so the hierarchy is bit-identical for every
+	// worker count; the matching schemes ignore it.
+	Workers int
 	// Workspace, when non-nil, supplies pooled scratch buffers and backs
 	// the hierarchy's own arrays; the caller must call Hierarchy.Release
 	// when done with the hierarchy. Results are identical either way.
@@ -488,24 +493,6 @@ func emitLevel(tr trace.Tracer, level int, fine, cur *graph.Graph, scheme Scheme
 // once per level with HEM (recorded in opts.Degradations); only if HEM
 // stalls too does coarsening stop early.
 func Coarsen(g *graph.Graph, opts Options, rng *rand.Rand) *Hierarchy {
-	return buildHierarchy(g, opts, rng, 1, func(cur *graph.Graph, scheme Scheme, cew, respect []int) []int {
-		return MatchWS(cur, scheme, cew, respect, rng, opts.Workspace)
-	})
-}
-
-// matchFunc computes one level's matching under a matching-family scheme;
-// Coarsen and ParallelCoarsen differ only in which matcher they plug in.
-// GCLP levels bypass it: label propagation is propose-parallel/
-// commit-serial by construction, so one implementation serves both paths
-// bit-identically (see clusterLPWS).
-type matchFunc func(cur *graph.Graph, scheme Scheme, cew, respect []int) []int
-
-// buildHierarchy is the shared coarsening loop behind Coarsen and
-// ParallelCoarsen: cluster or match, contract, check for stalls (with the
-// HCM/GCLP -> HEM fallback), consult the fault injector at each level
-// boundary. workers only affects how GCLP's propose phase is chunked,
-// never the result.
-func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, matchLevel matchFunc) *Hierarchy {
 	if opts.CoarsenTo <= 0 {
 		opts.CoarsenTo = 100
 	}
@@ -530,12 +517,12 @@ func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, m
 			cmap, cn := clusterLPWS(cur, respect, lpConfig{
 				maxWeight: maxClusterW,
 				rounds:    lpRounds,
-				workers:   workers,
+				workers:   opts.Workers,
 			}, rng, ws)
 			next, ccew := ContractClustersWS(cur, cmap, cn, cew, ws)
 			return next, cmap, ccew
 		}
-		match := matchLevel(cur, scheme, cew, respect)
+		match := MatchWS(cur, scheme, cew, respect, rng, ws)
 		next, cmap, ccew := ContractWS(cur, match, cew, ws)
 		ws.PutInt(match)
 		return next, cmap, ccew

@@ -301,3 +301,23 @@ func TestHCMUsesDensity(t *testing.T) {
 		t.Fatal("HCM failed to coarsen")
 	}
 }
+
+func BenchmarkMatch(b *testing.B) {
+	b.ReportAllocs()
+	g := matgen.Stiffness3D(20, 20, 20)
+	r := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Match(g, HEM, nil, r)
+	}
+}
+
+func BenchmarkContract(b *testing.B) {
+	b.ReportAllocs()
+	g := matgen.Stiffness3D(16, 16, 16)
+	match := Match(g, HEM, nil, rand.New(rand.NewSource(1)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Contract(g, match, nil)
+	}
+}

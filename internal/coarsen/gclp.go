@@ -13,8 +13,8 @@ package coarsen
 // Determinism: the propose phase reads only the previous round's labels and
 // weights, so chunking it across any number of workers cannot change any
 // proposal; the commit phase is serial in a fixed permutation. The clustering
-// is therefore bit-identical for every worker count — including one — which
-// is why Coarsen and ParallelCoarsen share this code unchanged.
+// is therefore bit-identical for every worker count — including one — so
+// Options.Workers is pure scheduling.
 
 import (
 	"math/rand"

@@ -4,7 +4,9 @@ import (
 	"slices"
 	"testing"
 
+	"mlpart/internal/faults"
 	"mlpart/internal/matgen"
+	"mlpart/internal/trace"
 	"mlpart/internal/workspace"
 )
 
@@ -26,15 +28,52 @@ func sameHierarchy(t *testing.T, label string, ref, got *Hierarchy) {
 }
 
 // TestParallelCoarsenIdenticalAcrossWorkers pins the determinism contract of
-// the handshake matching: the entire hierarchy — every level's graph and
-// cmap — is bit-identical for any worker count, for every scheme.
+// parallel coarsening: the entire hierarchy — every level's graph and cmap —
+// is bit-identical for any Options.Workers, for every scheme, including a
+// GCLP run that an injected stall demotes to HEM after its first level.
 func TestParallelCoarsenIdenticalAcrossWorkers(t *testing.T) {
-	g := matgen.Mesh2DTri(22, 22, 0.02, 7)
-	for _, s := range allSchemes() {
-		ref := ParallelCoarsen(g, Options{Scheme: s, CoarsenTo: 60}, rng(9), 1)
+	// 9261 vertices: clusterLPWS keeps >= 1024 vertices per worker, so all
+	// eight workers get a chunk.
+	g := matgen.FE3DTetra(21, 21, 21, 7)
+	build := func(s Scheme, plan string, workers int) (*Hierarchy, []trace.Degradation) {
+		var degs []trace.Degradation
+		opts := Options{Scheme: s, CoarsenTo: 60, Workers: workers, Degradations: &degs}
+		if plan != "" {
+			opts.Injector = faults.MustParse(plan)
+		}
+		return Coarsen(g, opts, rng(9)), degs
+	}
+	cases := []struct {
+		scheme Scheme
+		plan   string
+	}{{RM, ""}, {HEM, ""}, {LEM, ""}, {HCM, ""}, {GCLP, ""}, {GCLP, "coarsen/match=error@2"}}
+	for _, c := range cases {
+		label := c.scheme.String() + " " + c.plan
+		ref, degs := build(c.scheme, c.plan, 1)
+		if c.plan != "" && (len(degs) != 1 || degs[0].From != "GCLP" || degs[0].Level != 1) {
+			t.Fatalf("%s: want one GCLP->HEM fallback at level 1, got %+v", label, degs)
+		}
 		for _, workers := range []int{2, 8} {
-			got := ParallelCoarsen(g, Options{Scheme: s, CoarsenTo: 60}, rng(9), workers)
-			sameHierarchy(t, s.String(), ref, got)
+			got, _ := build(c.scheme, c.plan, workers)
+			sameHierarchy(t, label, ref, got)
+		}
+	}
+}
+
+// TestParallelCoarsenHierarchy: a GCLP hierarchy whose propose phase runs
+// on several workers is a valid, weight-preserving hierarchy at every level.
+func TestParallelCoarsenHierarchy(t *testing.T) {
+	g := matgen.SocialNetwork(8192, 4, 6)
+	h := Coarsen(g, Options{Scheme: GCLP, CoarsenTo: 100, Workers: 4}, rng(6))
+	if len(h.Levels) < 2 {
+		t.Fatal("no coarsening")
+	}
+	for i, lv := range h.Levels {
+		if err := lv.Graph.Validate(); err != nil {
+			t.Fatalf("level %d: %v", i, err)
+		}
+		if lv.Graph.TotalVertexWeight() != g.TotalVertexWeight() {
+			t.Fatalf("level %d: vertex weight changed", i)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package multilevel
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"mlpart/internal/coarsen"
@@ -67,6 +68,40 @@ func TestGoldenBKWAYBenchmarkScale(t *testing.T) {
 				t.Errorf("%s workers=%d: cut=%d maxPart=%d levels=%d where=%#x, want %d/%d/%d/%#x",
 					tc.name, workers, res.EdgeCut, maxPart, res.Stats.Levels, h,
 					tc.cut, tc.maxPart, tc.levels, tc.whereHash)
+			}
+		}
+	}
+}
+
+// TestCoarsenWorkersBenchmarkScale pins the north-star contract "a fixed
+// seed gives a fixed result for every worker count" for CoarsenWorkers on
+// the benchmark's FE3D-125k (direct k-way BKWAY, k=32, seed 1): 2 and 4
+// coarsening workers must reproduce the default run's partition, cut,
+// hierarchy depth and degradation record exactly, under HEM and GCLP.
+func TestCoarsenWorkersBenchmarkScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("125k-vertex partitions; skipped in -short mode")
+	}
+	g := matgen.FE3DTetra(50, 50, 50, 3)
+	for _, s := range []coarsen.Scheme{coarsen.HEM, coarsen.GCLP} {
+		run := func(workers int) *Result {
+			res, err := PartitionKWay(g, 32, Options{Seed: 1, CoarsenWorkers: workers}.
+				WithMatching(s).WithRefinement(refine.BKWAY))
+			if err != nil {
+				t.Fatalf("%v CoarsenWorkers=%d: %v", s, workers, err)
+			}
+			return res
+		}
+		ref := run(0)
+		for _, workers := range []int{2, 4} {
+			res := run(workers)
+			if res.EdgeCut != ref.EdgeCut || res.Stats.Levels != ref.Stats.Levels ||
+				!slices.Equal(res.Where, ref.Where) ||
+				!slices.Equal(res.Stats.Degradations, ref.Stats.Degradations) {
+				t.Errorf("%v CoarsenWorkers=%d: cut=%d levels=%d degradations=%d, want %d/%d/%d (where equal: %v)",
+					s, workers, res.EdgeCut, res.Stats.Levels, len(res.Stats.Degradations),
+					ref.EdgeCut, ref.Stats.Levels, len(ref.Stats.Degradations),
+					slices.Equal(res.Where, ref.Where))
 			}
 		}
 	}

@@ -44,17 +44,13 @@ func (e *engine) phaseCoarsen(g *graph.Graph, k int, respect []int, rng *rand.Ra
 		MaxClusterWeight: e.opts.MaxClusterWeight,
 		LPRounds:         e.opts.LPRounds,
 		Respect:          respect,
+		Workers:          e.opts.CoarsenWorkers,
 		Workspace:        ws,
 		Tracer:           tr,
 		Injector:         e.inj,
 		Degradations:     &stats.Degradations,
 	}
-	var h *coarsen.Hierarchy
-	if e.opts.CoarsenWorkers > 1 {
-		h = coarsen.ParallelCoarsen(g, copts, rng, e.opts.CoarsenWorkers)
-	} else {
-		h = coarsen.Coarsen(g, copts, rng)
-	}
+	h := coarsen.Coarsen(g, copts, rng)
 	stats.CoarsenTime += time.Since(t0)
 	stats.Levels += len(h.Levels)
 	if n := h.Coarsest().NumVertices(); n > stats.CoarsestN {

@@ -362,17 +362,13 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 		CoarsenTo:        opts.CoarsenTo,
 		MaxClusterWeight: opts.MaxClusterWeight,
 		LPRounds:         opts.LPRounds,
+		Workers:          opts.CoarsenWorkers,
 		Workspace:        ws,
 		Tracer:           tr,
 		Injector:         e.inj,
 		Degradations:     &stats.Degradations,
 	}
-	var h *coarsen.Hierarchy
-	if opts.CoarsenWorkers > 1 {
-		h = coarsen.ParallelCoarsen(g, copts, rng, opts.CoarsenWorkers)
-	} else {
-		h = coarsen.Coarsen(g, copts, rng)
-	}
+	h := coarsen.Coarsen(g, copts, rng)
 	stats.CoarsenTime = time.Since(t0)
 	stats.Levels = len(h.Levels)
 	stats.CoarsestN = h.Coarsest().NumVertices()

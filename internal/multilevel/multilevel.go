@@ -137,11 +137,12 @@ type Options struct {
 	// independent seeds and keeps the smallest cut (quality for time, the
 	// same trade the paper's GGP/GGGP trial counts make); <=1 means once.
 	NCuts int
-	// CoarsenWorkers > 1 computes each level's matching with the parallel
-	// handshake algorithm on that many workers. The matching differs from
-	// the sequential one but is deterministic for a fixed seed regardless
-	// of the worker count. The paper observes that coarsening is the easy
-	// phase to parallelize; this is that observation for shared memory.
+	// CoarsenWorkers > 1 fans the propose phase of GCLP label propagation
+	// out over that many workers (coarsen.Options.Workers). It never
+	// changes the result: proposals read only the round snapshot and
+	// commits are serial, and the matching schemes ignore it. The paper
+	// observes that coarsening is the easy phase to parallelize; this is
+	// that observation for shared memory.
 	CoarsenWorkers int
 	// MaxClusterWeight caps one GCLP cluster's total vertex weight; <= 0
 	// derives the cap from the graph (total weight / CoarsenTo). Ignored
@@ -163,7 +164,7 @@ type Options struct {
 	Cycles int
 	// RefineWorkers > 1 fans the propose phase of boundary k-way refinement
 	// (the BKWAY policy on the direct k-way path) out over that many
-	// workers. Unlike CoarsenWorkers it never changes the result: proposals
+	// workers. Like CoarsenWorkers it never changes the result: proposals
 	// are chunk-independent and commits are serial, so the partition is
 	// bit-identical for every worker count. <= 1 refines serially.
 	RefineWorkers int

@@ -2,6 +2,7 @@ package multilevel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,20 +310,21 @@ func TestPartitionWeightedErrors(t *testing.T) {
 	}
 }
 
+// TestCoarsenWorkersOption: CoarsenWorkers is pure scheduling. For every
+// coarsening scheme, 1, 2 and 4 workers give exactly the bisection of the
+// default 0. 4096 vertices give GCLP's propose phase four real chunks.
 func TestCoarsenWorkersOption(t *testing.T) {
-	g := matgen.FE3DTetra(8, 8, 8, 23)
-	a, _ := Bisect(g, 0, Options{Seed: 24, CoarsenWorkers: 4}, rng(24))
-	if err := a.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic for any worker count.
-	b, _ := Bisect(g, 0, Options{Seed: 24, CoarsenWorkers: 2}, rng(24))
-	if a.Cut != b.Cut {
-		t.Fatalf("worker count changed the result: %d vs %d", a.Cut, b.Cut)
-	}
-	// Quality comparable to the sequential matching (within 25%).
-	c, _ := Bisect(g, 0, Options{Seed: 24}, rng(24))
-	if float64(a.Cut) > 1.25*float64(c.Cut)+10 {
-		t.Errorf("parallel-coarsened cut %d far above sequential %d", a.Cut, c.Cut)
+	g := matgen.FE3DTetra(16, 16, 16, 23)
+	for _, s := range []coarsen.Scheme{coarsen.RM, coarsen.HEM, coarsen.LEM, coarsen.HCM, coarsen.GCLP} {
+		ref, _ := Bisect(g, 0, Options{Seed: 24}.WithMatching(s), rng(24))
+		if err := ref.Verify(); err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			b, _ := Bisect(g, 0, Options{Seed: 24, CoarsenWorkers: workers}.WithMatching(s), rng(24))
+			if b.Cut != ref.Cut || !slices.Equal(b.Where, ref.Where) {
+				t.Fatalf("%v: CoarsenWorkers=%d changed the bisection: cut %d vs %d", s, workers, b.Cut, ref.Cut)
+			}
+		}
 	}
 }

@@ -116,6 +116,37 @@ func TestCoarseningAliasSharesCache(t *testing.T) {
 	}
 }
 
+// TestCoarsenWorkersSharesCache: coarsen_workers is scheduling only, so it
+// stays out of the cache key. One partition request sent with 0, 1 and 4
+// coarsening workers makes a single cache entry, and every reply after the
+// first is a byte-identical hit.
+func TestCoarsenWorkersSharesCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	wg := gridGraph(16, 16)
+	var first []byte
+	for i, workers := range []int{0, 1, 4} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/partition", mlpart.PartitionRequest{
+			Graph: wg, K: 4, Options: &mlpart.Options{Seed: 7, CoarsenWorkers: workers},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("coarsen_workers=%d: status %d: %s", workers, resp.StatusCode, data)
+		}
+		if i == 0 {
+			first = data
+			continue
+		}
+		if got := resp.Header.Get("X-Cache"); got != "hit" {
+			t.Errorf("coarsen_workers=%d: X-Cache = %q, want hit", workers, got)
+		}
+		if !bytes.Equal(data, first) {
+			t.Errorf("coarsen_workers=%d: response differs from the first:\n%s\nvs\n%s", workers, data, first)
+		}
+	}
+	if n := s.cache.len(); n != 1 {
+		t.Errorf("cache holds %d entries, want 1", n)
+	}
+}
+
 // TestGCLPPartitionAndCacheKey checks GCLP requests work end to end and
 // that the GCLP knobs are part of the cache identity (different cap =>
 // different entry), while a repeat with identical knobs hits. The explicit

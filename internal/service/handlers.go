@@ -556,8 +556,8 @@ func cloneOptions(o *mlpart.Options) *mlpart.Options {
 // canonicalOptions renders the result-affecting options in defaulted
 // form: requests that spell the defaults explicitly share cache entries
 // with requests that omit them, and the scheduling-only knobs (Parallel,
-// ParallelDepth, ParallelMinVertices, RefineWorkers — parity-tested to
-// not change results) are excluded entirely. The preset/cycles pair is
+// ParallelDepth, ParallelMinVertices, CoarsenWorkers, RefineWorkers —
+// parity-tested to not change results) are excluded entirely. The preset/cycles pair is
 // canonicalized to the *effective* cycle count, so preset=strong and
 // cycles=4 share an entry while fast and strong never alias.
 func canonicalOptions(o *mlpart.Options) string {
@@ -590,15 +590,12 @@ func canonicalOptions(o *mlpart.Options) string {
 	if c.NCuts <= 1 {
 		c.NCuts = 1
 	}
-	if c.CoarsenWorkers <= 1 {
-		c.CoarsenWorkers = 1
-	}
 	if c.Ordering == "" {
 		c.Ordering = mlpart.OrderingNone
 	}
-	key := fmt.Sprintf("m=%s i=%s r=%s ct=%d ub=%.17g s=%d kr=%t nc=%d cw=%d cg=%t ord=%s cyc=%d",
+	key := fmt.Sprintf("m=%s i=%s r=%s ct=%d ub=%.17g s=%d kr=%t nc=%d cg=%t ord=%s cyc=%d",
 		co.Scheme, c.InitPart, c.Refinement, c.CoarsenTo, c.Ubfactor,
-		c.Seed, c.KWayRefine, c.NCuts, c.CoarsenWorkers, c.CompressGraph, c.Ordering, cyc)
+		c.Seed, c.KWayRefine, c.NCuts, c.CompressGraph, c.Ordering, cyc)
 	if co.Scheme == mlpart.MatchGCLP {
 		// GCLP's knobs change the result, so they join the key — but only
 		// for GCLP, keeping every matching-family key byte-identical to

@@ -258,8 +258,14 @@ type Options struct {
 	Refinement string `json:"refinement,omitempty"`
 	// CoarsenTo is the coarsest-graph size (0 means 100).
 	CoarsenTo int `json:"coarsen_to,omitempty"`
-	// Ubfactor is the allowed imbalance: each part may weigh up to
-	// Ubfactor times its target (0 means 1.05).
+	// Ubfactor is the allowed imbalance (0 means 1.05). On the recursive
+	// bisection path it bounds each bisection's two sides, not the
+	// assembled k-way result: refinement lets a side grow to
+	// max(Ubfactor·target, target+maxVwgt), where target is that side's
+	// share of the bisected subgraph and maxVwgt the heaviest vertex of
+	// the graph being refined, and nothing re-checks the final k parts.
+	// The direct k-way refiners apply the same formula to each of the k
+	// parts with target = total weight / k.
 	Ubfactor float64 `json:"ubfactor,omitempty"`
 	// Seed drives all randomized choices; equal seeds give identical
 	// results.
@@ -282,10 +288,11 @@ type Options struct {
 	// NCuts runs every bisection this many times with independent seeds
 	// and keeps the best cut, trading time for quality; <=1 means once.
 	NCuts int `json:"ncuts,omitempty"`
-	// CoarsenWorkers > 1 computes matchings with the parallel handshake
-	// algorithm on that many workers during coarsening; deterministic for
-	// a fixed seed regardless of worker count, but the matching differs
-	// from the sequential default.
+	// CoarsenWorkers > 1 fans the propose phase of GCLP label propagation
+	// out over that many workers. Pure scheduling: the partition is
+	// bit-identical for every worker count (proposals read only the round
+	// snapshot, commits are serial), and the matching schemes (RM, HEM,
+	// LEM, HCM) ignore it. <= 1 coarsens serially.
 	CoarsenWorkers int `json:"coarsen_workers,omitempty"`
 	// RefineWorkers > 1 fans the propose phase of RefineBKWAY boundary
 	// k-way refinement out over that many workers. Pure scheduling: the

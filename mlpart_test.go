@@ -2,6 +2,7 @@ package mlpart
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -328,18 +329,28 @@ func TestNestedDissectionCompressed(t *testing.T) {
 	}
 }
 
+// TestCoarsenWorkersPublic: CoarsenWorkers never changes the partition,
+// under the default HEM and under GCLP, whose proposals it parallelizes.
+// The mesh is large enough (~4.7k vertices) for four propose chunks.
 func TestCoarsenWorkersPublic(t *testing.T) {
-	g := testMesh(t)
-	a, err := Partition(g, 8, &Options{Seed: 15, CoarsenWorkers: 4})
+	g, err := GenerateWorkload("4ELT", 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(g, 8, &Options{Seed: 15, CoarsenWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EdgeCut != b.EdgeCut {
-		t.Fatal("worker count changed the partition")
+	for _, scheme := range []string{MatchHEM, MatchGCLP} {
+		ref, err := Partition(g, 8, &Options{Seed: 15, Coarsening: &CoarseningOptions{Scheme: scheme}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, err := Partition(g, 8, &Options{Seed: 15, Coarsening: &CoarseningOptions{Scheme: scheme}, CoarsenWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.EdgeCut != ref.EdgeCut || !slices.Equal(got.Where, ref.Where) {
+				t.Fatalf("%s: CoarsenWorkers=%d changed the partition: cut %d vs %d", scheme, workers, got.EdgeCut, ref.EdgeCut)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Local CI: the same gate .github/workflows/ci.yml runs. Fails on
 # unformatted files, vet findings, build or test failures, data races
-# in the concurrent packages (parallel coarsening, parallel NCuts /
+# in the concurrent packages (GCLP propose workers, parallel NCuts /
 # recursive bisection, k-way refinement), and failures in the perfbench
 # module, which the root module's ./... does not include.
 set -eu
