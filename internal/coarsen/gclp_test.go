@@ -225,6 +225,26 @@ func TestGCLPParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGCLPSequentialParallelAgree pins the other half of the contract:
+// while GCLP is active (no fallback has fired), a Coarsen call that leaves
+// Workers unset is bit-identical to one whose propose phase is chunked
+// across workers — both run the same clusterLPWS.
+func TestGCLPSequentialParallelAgree(t *testing.T) {
+	g := matgen.SocialNetwork(8192, 4, 23)
+	var degs []trace.Degradation
+	opts := Options{Scheme: GCLP, CoarsenTo: 80, MaxLevels: 2, Degradations: &degs}
+	ref := Coarsen(g, opts, rng(9))
+	if len(degs) != 0 {
+		t.Fatalf("fallback fired within %d levels: %+v", opts.MaxLevels, degs)
+	}
+	for _, workers := range []int{1, 4} {
+		par := opts
+		par.Workers = workers
+		got := Coarsen(g, par, rng(9))
+		sameHierarchy(t, "GCLP seq/par", ref, got)
+	}
+}
+
 // TestGCLPWorkspaceParity checks pooled and allocating runs agree, and that
 // the hierarchy releases cleanly.
 func TestGCLPWorkspaceParity(t *testing.T) {
